@@ -3,7 +3,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{fail, nest, Validate, Violation};
-use tir_core::{IrHintPerf, IrHintSize, Tif, TifHint, TifSharding, TifSlicing, IMPACT_STRIDE};
+use tir_core::{
+    with_method, Collection, CompressedTif, IrHintPerf, IrHintSize, Method, Tif, TifHint,
+    TifHintSlicing, TifSharding, TifSlicing, IMPACT_STRIDE,
+};
 use tir_hint::DivisionKind;
 use tir_invidx::{live, raw};
 
@@ -451,23 +454,131 @@ impl Validate for IrHintSize {
     }
 }
 
+impl Validate for TifHintSlicing {
+    fn validate(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        self.for_each_hint(|e, h| {
+            let prefix = format!("hybrid/elem{e}/hint");
+            nest(&prefix, h.validate(), &mut out);
+            if h.len() != self.freq(e) as usize {
+                fail(
+                    &mut out,
+                    &prefix,
+                    format!(
+                        "per-element HINT holds {} live intervals, planner tracks freq {}",
+                        h.len(),
+                        self.freq(e)
+                    ),
+                );
+            }
+        });
+        // The sliced copy must hold the same live objects per element as
+        // the HINT copy: every sub-list id-sorted, every live object in
+        // at least one slice.
+        let mut live_ids: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        self.for_each_sublist(|e, s, ids, sts| {
+            let path = format!("hybrid/elem{e}/slice{s}");
+            if ids.len() != sts.len() {
+                fail(
+                    &mut out,
+                    &path,
+                    format!("{} ids but {} starts", ids.len(), sts.len()),
+                );
+            }
+            if !ids.windows(2).all(|w| raw(w[0]) < raw(w[1])) {
+                fail(
+                    &mut out,
+                    &path,
+                    "sub-list not strictly ascending by raw id".into(),
+                );
+            }
+            let set = live_ids.entry(e).or_default();
+            set.extend(ids.iter().filter(|&&id| live(id)).map(|&id| raw(id)));
+        });
+        for (&e, ids) in &live_ids {
+            if ids.len() != self.freq(e) as usize {
+                fail(
+                    &mut out,
+                    &format!("hybrid/elem{e}"),
+                    format!(
+                        "{} distinct live objects across slices, planner tracks freq {}",
+                        ids.len(),
+                        self.freq(e)
+                    ),
+                );
+            }
+        }
+        out
+    }
+}
+
+impl Validate for CompressedTif {
+    fn validate(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        // Live postings per element: base entries not deleted plus live
+        // overlay entries, which together must match the planner.
+        let mut live_count: BTreeMap<u32, usize> = BTreeMap::new();
+        self.for_each_base(|e, ids, temporal| {
+            let prefix = format!("ctif/elem{e}/base");
+            let nested = ids.validate();
+            let clean = nested.is_empty();
+            nest(&prefix, nested, &mut out);
+            if temporal.map_or(0, |t| t.len()) != ids.len() {
+                fail(
+                    &mut out,
+                    &prefix,
+                    format!(
+                        "{} block-coded ids but {} temporal triples",
+                        ids.len(),
+                        temporal.map_or(0, |t| t.len())
+                    ),
+                );
+            }
+            if clean {
+                let mut live_base = 0usize;
+                ids.for_each(|id| live_base += usize::from(!self.is_base_dead(id)));
+                *live_count.entry(e).or_insert(0) += live_base;
+            }
+        });
+        self.for_each_overlay(|e, list| {
+            let path = format!("ctif/elem{e}/overlay");
+            *live_count.entry(e).or_insert(0) +=
+                check_temporal_list(&path, &list.ids, &list.sts, &list.ends, &mut out);
+        });
+        for (&e, &count) in &live_count {
+            if count != self.freq(e) as usize {
+                fail(
+                    &mut out,
+                    &format!("ctif/elem{e}"),
+                    format!(
+                        "{count} live postings across base and overlay, planner tracks freq {}",
+                        self.freq(e)
+                    ),
+                );
+            }
+        }
+        out
+    }
+}
+
+/// Builds `method` over `coll` and validates the result — the one
+/// structural check every served method has.
+pub fn validate_method(method: Method, coll: &Collection) -> Vec<Violation> {
+    with_method!(method, |build| build(coll).validate())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tir_core::prelude::*;
-    use tir_core::TifHintConfig;
 
     #[test]
     fn clean_indexes_validate() {
         let coll = Collection::running_example();
-        assert!(Tif::build(&coll).validate().is_empty());
-        assert!(TifSlicing::build(&coll).validate().is_empty());
-        assert!(TifSharding::build(&coll).validate().is_empty());
-        assert!(TifHint::build(&coll, TifHintConfig::binary_search())
-            .validate()
-            .is_empty());
-        assert!(IrHintPerf::build(&coll).validate().is_empty());
-        assert!(IrHintSize::build(&coll).validate().is_empty());
+        for m in Method::ALL {
+            let v = validate_method(m, &coll);
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
     }
 
     #[test]
@@ -479,31 +590,23 @@ mod tests {
             interval: Interval { st: 2, end: 11 },
             desc: victim.desc.clone(),
         };
-
-        let mut tif = Tif::build(&coll);
-        tif.insert(&extra);
-        assert!(tif.delete(&victim));
-        let v = tif.validate();
-        assert!(v.is_empty(), "{v:?}");
-
-        let mut perf = IrHintPerf::build(&coll);
-        perf.insert(&extra);
-        assert!(perf.delete(&victim));
-        let v = perf.validate();
-        assert!(v.is_empty(), "{v:?}");
-
-        let mut size = IrHintSize::build(&coll);
-        size.insert(&extra);
-        assert!(size.delete(&victim));
-        let v = size.validate();
-        assert!(v.is_empty(), "{v:?}");
+        for m in Method::ALL {
+            let v = with_method!(m, |build| {
+                let mut index = build(&coll);
+                index.insert(&extra);
+                assert!(index.delete(&victim), "{m}");
+                index.validate()
+            });
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
     }
 
     #[test]
     fn empty_collection_validates() {
         let coll = Collection::new(Vec::new());
-        assert!(Tif::build(&coll).validate().is_empty());
-        assert!(IrHintPerf::build(&coll).validate().is_empty());
-        assert!(IrHintSize::build(&coll).validate().is_empty());
+        for m in Method::ALL {
+            let v = validate_method(m, &coll);
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
     }
 }

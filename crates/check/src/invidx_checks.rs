@@ -3,8 +3,8 @@
 use crate::{fail, Validate, Violation};
 use tir_invidx::compress::BLOCK_LEN;
 use tir_invidx::{
-    live, raw, BlockPostings, CompactInverted, CompactTemporalInverted, CompressedPostings,
-    Dictionary, HybridPostings, InvertedIndex, PlanStats, PostingContainer,
+    live, raw, BlockPostings, CompactInverted, CompactTemporalInverted, Dictionary, HybridPostings,
+    InvertedIndex, PlanStats, PostingContainer,
 };
 
 impl Validate for Dictionary {
@@ -436,75 +436,6 @@ impl Validate for PlanStats {
     }
 }
 
-impl Validate for CompressedPostings {
-    fn validate(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let data = self.raw_bytes();
-        let mut pos = 0usize;
-        let mut prev: Option<u64> = None;
-        for i in 0..self.len() {
-            // Bounds-checked varint walk: the production decoder indexes
-            // unchecked, so a validator must never reuse it on possibly
-            // corrupt bytes.
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let Some(&byte) = data.get(pos) else {
-                    fail(
-                        &mut out,
-                        "compressed/stream",
-                        format!("stream truncated inside posting {i} of {}", self.len()),
-                    );
-                    return out;
-                };
-                pos += 1;
-                if shift >= 64 {
-                    fail(
-                        &mut out,
-                        "compressed/stream",
-                        format!("varint of posting {i} exceeds 64 bits"),
-                    );
-                    return out;
-                }
-                v |= ((byte & 0x7f) as u64) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
-            let acc = match prev {
-                None => v,
-                Some(p) => {
-                    if v == 0 {
-                        fail(
-                            &mut out,
-                            "compressed/deltas",
-                            format!("zero delta at posting {i}: ids not strictly ascending"),
-                        );
-                    }
-                    p.saturating_add(v)
-                }
-            };
-            if acc > u32::MAX as u64 {
-                fail(
-                    &mut out,
-                    "compressed/deltas",
-                    format!("posting {i} decodes to {acc}, beyond the u32 id space"),
-                );
-            }
-            prev = Some(acc);
-        }
-        if pos != data.len() {
-            fail(
-                &mut out,
-                "compressed/stream",
-                format!("{} trailing bytes after the last posting", data.len() - pos),
-            );
-        }
-        out
-    }
-}
-
 impl Validate for BlockPostings {
     fn validate(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -654,9 +585,6 @@ mod tests {
         let ct = CompactTemporalInverted::build(&mut [(0, 1, 5, 9), (1, 2, 0, 3)]);
         assert!(ct.validate().is_empty());
 
-        let cp = CompressedPostings::encode(&[1, 5, 1000]);
-        assert!(cp.validate().is_empty());
-
         let ids: Vec<u32> = (0..300u32).map(|i| i * 3).collect();
         let bp = BlockPostings::encode(&ids);
         assert!(bp.validate().is_empty());
@@ -668,7 +596,6 @@ mod tests {
         assert!(InvertedIndex::new().validate().is_empty());
         assert!(CompactInverted::new().validate().is_empty());
         assert!(CompactTemporalInverted::new().validate().is_empty());
-        assert!(CompressedPostings::encode(&[]).validate().is_empty());
         assert!(BlockPostings::encode(&[]).validate().is_empty());
         assert!(BlockPostings::default().validate().is_empty());
     }

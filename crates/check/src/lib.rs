@@ -48,6 +48,7 @@ mod invidx_checks;
 mod oracle_checks;
 mod snapshot_checks;
 
+pub use core_checks::validate_method;
 pub use oracle_checks::{diff_against_oracle, oracle_query_grid};
 pub use snapshot_checks::{validate_snapshot, validate_snapshot_file};
 

@@ -103,6 +103,52 @@ proptest! {
     }
 
     #[test]
+    fn hybrid_validates_after_updates_and_catches_corruption(
+        coll in arb_collection(30),
+        extra in arb_collection(8),
+        del_mask in prop::collection::vec(any::<bool>(), 30),
+        m in 1u32..7,
+        k in 1u32..9,
+    ) {
+        let mut idx = TifHintSlicing::build_with_params(&coll, m, k);
+        for o in extra.objects() {
+            let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone());
+            idx.insert(&o);
+        }
+        for (o, &kill) in coll.objects().iter().zip(del_mask.iter()) {
+            if kill {
+                idx.delete(o);
+            }
+        }
+        let v = idx.validate();
+        prop_assert!(v.is_empty(), "violations: {v:?}");
+        idx.testing_corrupt();
+        prop_assert!(!idx.validate().is_empty(), "corrupted HINT dead counter went unnoticed");
+    }
+
+    #[test]
+    fn ctif_validates_after_updates_and_catches_corruption(
+        coll in arb_collection(30),
+        extra in arb_collection(8),
+        del_mask in prop::collection::vec(any::<bool>(), 30),
+    ) {
+        let mut idx = CompressedTif::build(&coll);
+        for o in extra.objects() {
+            let o = Object::new(o.id + 1000, o.interval.st, o.interval.end, o.desc.clone());
+            idx.insert(&o);
+        }
+        for (o, &kill) in coll.objects().iter().zip(del_mask.iter()) {
+            if kill {
+                idx.delete(o);
+            }
+        }
+        let v = idx.validate();
+        prop_assert!(v.is_empty(), "violations: {v:?}");
+        idx.testing_corrupt();
+        prop_assert!(!idx.validate().is_empty(), "corrupted base skip bound went unnoticed");
+    }
+
+    #[test]
     fn tif_and_hybrid_containers_validate_after_random_updates(
         coll in arb_collection(30),
         extra in arb_collection(8),

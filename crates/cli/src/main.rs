@@ -121,7 +121,8 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: tir <gen|stats|query|bench|check|serve|loadgen|chaos|snapshot|recover> [--flags]\n\
+    format!(
+        "usage: tir <gen|stats|query|bench|check|serve|loadgen|chaos|snapshot|recover> [--flags]\n\
      gen      --out FILE [--cardinality N] [--seed K] [--scale S]\n\
      stats    --input FILE\n\
      query    --input FILE --from T --to T --elems a,b [--method M] [--topk K]\n\
@@ -145,9 +146,10 @@ fn usage() -> String {
               (write a standalone snapshot file, then fsck it)\n\
      recover  --data-dir DIR [--verify]   (replay snapshot + WAL, report the\n\
               epoch reached; --verify adds fsck + brute-force oracle agreement)\n\
-     methods: tif, slicing, sharding, tif-hint-bs, tif-hint-ms, hybrid,\n\
-              irhint-perf (default), irhint-size, ctif"
-        .to_string()
+     methods: {} (default {})",
+        Method::ALL.map(Method::name).join(", "),
+        Method::IrHintPerf
+    )
 }
 
 fn load(opts: &Opts) -> Result<Corpus, String> {
@@ -156,19 +158,9 @@ fn load(opts: &Opts) -> Result<Corpus, String> {
     read_tsv(BufReader::new(file))
 }
 
-fn build_index(method: &str, coll: &Collection) -> Result<Box<dyn TemporalIrIndex>, String> {
-    Ok(match method {
-        "tif" => Box::new(Tif::build(coll)),
-        "slicing" => Box::new(TifSlicing::build(coll)),
-        "sharding" => Box::new(TifSharding::build(coll)),
-        "tif-hint-bs" => Box::new(TifHint::build(coll, TifHintConfig::binary_search())),
-        "tif-hint-ms" => Box::new(TifHint::build(coll, TifHintConfig::merge_sort())),
-        "hybrid" => Box::new(TifHintSlicing::build(coll)),
-        "irhint-perf" => Box::new(IrHintPerf::build(coll)),
-        "irhint-size" => Box::new(IrHintSize::build(coll)),
-        "ctif" => Box::new(CompressedTif::build(coll)),
-        other => return Err(format!("unknown method {other}")),
-    })
+/// The `--method` flag, or `default` when absent.
+fn method_opt(opts: &Opts, default: Method) -> Result<Method, String> {
+    opts.get("method").map_or(Ok(default), str::parse)
 }
 
 fn cmd_gen(opts: &Opts) -> Result<(), String> {
@@ -256,9 +248,9 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
 
-    let method = opts.get("method").unwrap_or("irhint-perf");
+    let method = method_opt(opts, Method::IrHintPerf)?;
     let t0 = Instant::now();
-    let index = build_index(method, &corpus.collection)?;
+    let index = method.build(&corpus.collection);
     let built = t0.elapsed();
     let t0 = Instant::now();
     let mut hits = index.query(&TimeTravelQuery::new(from, to, elems));
@@ -297,24 +289,14 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
     );
     let mut records = Vec::new();
     let only = opts.get("methods");
-    for method in [
-        "tif",
-        "slicing",
-        "sharding",
-        "tif-hint-bs",
-        "tif-hint-ms",
-        "hybrid",
-        "irhint-perf",
-        "irhint-size",
-        "ctif",
-    ] {
+    for method in Method::ALL {
         if let Some(list) = only {
-            if !list.split(',').any(|m| m.trim() == method) {
+            if !list.split(',').any(|m| m.trim() == method.name()) {
                 continue;
             }
         }
         let t0 = Instant::now();
-        let index = build_index(method, &corpus.collection)?;
+        let index = method.build(&corpus.collection);
         let build = t0.elapsed().as_secs_f64();
         // One scratch arena and one reply buffer for the whole loop:
         // the measured path allocates nothing in steady state. One
@@ -367,7 +349,7 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
             p99
         );
         records.push(Json::obj(vec![
-            ("method", Json::str(method)),
+            ("method", Json::str(method.name())),
             ("build_s", Json::Num(build)),
             ("size_bytes", Json::Int(index.size_bytes() as u64)),
             ("qps", Json::Num(qps)),
@@ -706,25 +688,13 @@ fn cmd_bench_kernels(opts: &Opts, json_path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds every validatable index over the collection and collects the
-/// structural violations each one reports, tagged by method name.
+/// Builds every method over the collection and collects the structural
+/// violations each one reports, tagged by method name.
 fn validate_all(coll: &Collection) -> Vec<(&'static str, Vec<tir_check::Violation>)> {
-    use tir_check::Validate;
-    vec![
-        ("tif", Tif::build(coll).validate()),
-        ("slicing", TifSlicing::build(coll).validate()),
-        ("sharding", TifSharding::build(coll).validate()),
-        (
-            "tif-hint-bs",
-            TifHint::build(coll, TifHintConfig::binary_search()).validate(),
-        ),
-        (
-            "tif-hint-ms",
-            TifHint::build(coll, TifHintConfig::merge_sort()).validate(),
-        ),
-        ("irhint-perf", IrHintPerf::build(coll).validate()),
-        ("irhint-size", IrHintSize::build(coll).validate()),
-    ]
+    Method::ALL
+        .into_iter()
+        .map(|m| (m.name(), tir_check::validate_method(m, coll)))
+        .collect()
 }
 
 /// `tir check --file SNAPSHOT`: fsck one on-disk snapshot — open-time
@@ -801,9 +771,9 @@ fn serve_corpus(opts: &Opts) -> Result<Corpus, String> {
     })
 }
 
-/// A post-swap validator for any index tir-check knows how to audit:
-/// the applier runs it on every freshly rebuilt snapshot and counts the
-/// violations into `STATS`.
+/// The post-swap validator every method serves with: the applier runs
+/// tir-check on every freshly rebuilt snapshot and counts the violations
+/// into `STATS`.
 fn checking_validator<I>() -> Option<Validator<I>>
 where
     I: tir_check::Validate + Send + Sync + 'static,
@@ -841,7 +811,7 @@ where
     run_server(handle, port_file)
 }
 
-fn server_config(opts: &Opts, method: &str) -> Result<ServerConfig, String> {
+fn server_config(opts: &Opts, method: Method) -> Result<ServerConfig, String> {
     let port: u16 = opts.parse_or("port", 0)?;
     let host = opts.get("host").unwrap_or("127.0.0.1");
     Ok(ServerConfig {
@@ -853,7 +823,7 @@ fn server_config(opts: &Opts, method: &str) -> Result<ServerConfig, String> {
         },
         write_queue_depth: opts.parse_or("write-queue", 1024)?,
         max_write_batch: opts.parse_or("write-batch", 256)?,
-        method: method.to_string(),
+        method: method.name().to_string(),
     })
 }
 
@@ -882,22 +852,47 @@ fn fsck_data_dir(dir: &Path) -> Result<(), String> {
     ))
 }
 
+/// What a durable method's concrete index type is wanted for.
+enum DurableAction<'a> {
+    /// `tir serve --data-dir DIR`.
+    Serve(&'a Path),
+    /// `tir snapshot --out FILE`.
+    Snapshot(&'a str),
+}
+
+/// The one dispatch over the methods with a snapshot format (tif and
+/// both tIF+HINT variants), shared by `serve --data-dir` and `snapshot`.
+fn run_durable(opts: &Opts, method: Method, action: DurableAction<'_>) -> Result<(), String> {
+    tir_core::with_method!(
+        method,
+        [Tif, TifHintBs, TifHintMs],
+        |build| match action {
+            DurableAction::Serve(dir) => serve_durable(opts, dir, method, build),
+            DurableAction::Snapshot(out) => write_snapshot(opts, out, method, build),
+        },
+        other => Err(format!(
+            "method {other} has no snapshot format, so it cannot run durably \
+             (supported: tif, tif-hint-bs, tif-hint-ms)"
+        )),
+    )
+}
+
 /// `tir serve --data-dir`: recovers (or initializes) the directory, then
 /// serves with the WAL in front of the applier — every acknowledged
 /// write survives `kill -9`.
-fn serve_durable<I, F>(
-    opts: &Opts,
-    dir: &Path,
-    d_opts: DurabilityOptions,
-    build: F,
-    config: ServerConfig,
-    port_file: Option<&str>,
-    validator: Option<Validator<I>>,
-) -> Result<(), String>
+fn serve_durable<I, F>(opts: &Opts, dir: &Path, method: Method, build: F) -> Result<(), String>
 where
-    I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static,
+    I: TemporalIrIndex + Persist + tir_check::Validate + Clone + Send + Sync + 'static,
     F: FnOnce(&Collection) -> I,
 {
+    let d_opts = DurabilityOptions {
+        snapshot_every: opts.parse_or(
+            "snapshot-every",
+            DurabilityOptions::default().snapshot_every,
+        )?,
+        ..DurabilityOptions::default()
+    };
+    let config = server_config(opts, method)?;
     let (index, dict, durability) = if Durability::exists(dir) {
         fsck_data_dir(dir)?;
         let r: Recovered<I> = Durability::recover(dir, d_opts)
@@ -917,8 +912,7 @@ where
     } else {
         let corpus = serve_corpus(opts)?;
         eprintln!(
-            "building {} over {} objects...",
-            config.method,
+            "building {method} over {} objects...",
             corpus.collection.len()
         );
         let index = build(&corpus.collection);
@@ -939,20 +933,13 @@ where
         ServeDict::durable(dict, log),
         durability,
         config,
-        validator,
+        checking_validator(),
     )
     .map_err(|e| format!("bind: {e}"))?;
-    run_server(handle, port_file)
+    run_server(handle, opts.get("port-file"))
 }
 
 fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
-    let d_opts = DurabilityOptions {
-        snapshot_every: opts.parse_or(
-            "snapshot-every",
-            DurabilityOptions::default().snapshot_every,
-        )?,
-        ..DurabilityOptions::default()
-    };
     // An existing directory dictates the method: the snapshot knows what
     // wrote it, and a conflicting --method is an operator error.
     let existing = if Durability::exists(dir) {
@@ -968,115 +955,34 @@ fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
                 kind.method_name()
             ));
         }
-        (Some(kind), _) => kind.method_name().to_string(),
-        (None, m) => m.unwrap_or("tif").to_string(),
+        (Some(kind), _) => kind.method_name().parse()?,
+        (None, _) => method_opt(opts, Method::Tif)?,
     };
-    let config = server_config(opts, &method)?;
-    let port_file = opts.get("port-file");
-    match method.as_str() {
-        "tif" => serve_durable(
-            opts,
-            dir,
-            d_opts,
-            Tif::build,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-bs" => serve_durable(
-            opts,
-            dir,
-            d_opts,
-            |c| TifHint::build(c, TifHintConfig::binary_search()),
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-ms" => serve_durable(
-            opts,
-            dir,
-            d_opts,
-            |c| TifHint::build(c, TifHintConfig::merge_sort()),
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        other => Err(format!(
-            "method {other} cannot serve durably (supported: tif, tif-hint-bs, tif-hint-ms)"
-        )),
-    }
+    run_durable(opts, method, DurableAction::Serve(dir))
 }
 
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if let Some(dir) = opts.get("data-dir") {
         return cmd_serve_durable(opts, Path::new(dir));
     }
-    let corpus = serve_corpus(opts)?;
-    let method = opts.get("method").unwrap_or("irhint-perf");
+    let method = method_opt(opts, Method::IrHintPerf)?;
     let config = server_config(opts, method)?;
+    let corpus = serve_corpus(opts)?;
     let port_file = opts.get("port-file");
     eprintln!(
         "building {method} over {} objects...",
         corpus.collection.len()
     );
-    let coll = &corpus.collection;
     // Static dispatch per method so each serving stack is monomorphic,
-    // with a tir-check post-swap validator wherever one exists (hybrid
-    // and ctif have no `Validate` impl and serve unchecked).
-    match method {
-        "tif" => serve_index(
-            Tif::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "slicing" => serve_index(
-            TifSlicing::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "sharding" => serve_index(
-            TifSharding::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-bs" => serve_index(
-            TifHint::build(coll, TifHintConfig::binary_search()),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "tif-hint-ms" => serve_index(
-            TifHint::build(coll, TifHintConfig::merge_sort()),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "hybrid" => serve_index(TifHintSlicing::build(coll), corpus, config, port_file, None),
-        "irhint-perf" => serve_index(
-            IrHintPerf::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "irhint-size" => serve_index(
-            IrHintSize::build(coll),
-            corpus,
-            config,
-            port_file,
-            checking_validator(),
-        ),
-        "ctif" => serve_index(CompressedTif::build(coll), corpus, config, port_file, None),
-        other => Err(format!("unknown method {other}")),
-    }
+    // every one with a tir-check post-swap validator.
+    let coll = &corpus.collection;
+    tir_core::with_method!(method, |build| serve_index(
+        build(coll),
+        corpus,
+        config,
+        port_file,
+        checking_validator()
+    ))
 }
 
 /// `tir snapshot`: build an index over a corpus and write it as a
@@ -1084,41 +990,29 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 /// for the `tir check --file` / mmap-load tooling.
 fn cmd_snapshot(opts: &Opts) -> Result<(), String> {
     let out = opts.require("out")?;
+    run_durable(
+        opts,
+        method_opt(opts, Method::Tif)?,
+        DurableAction::Snapshot(out),
+    )
+}
+
+fn write_snapshot<I, F>(opts: &Opts, out: &str, method: Method, build: F) -> Result<(), String>
+where
+    I: Persist,
+    F: FnOnce(&Collection) -> I,
+{
     let corpus = serve_corpus(opts)?;
-    let method = opts.get("method").unwrap_or("tif");
     let epoch: u64 = opts.parse_or("epoch", 0)?;
     let path = Path::new(out);
-    let catalog = corpus.collection.objects();
-    let dict = &corpus.dictionary;
-    let write = |r: std::io::Result<()>| r.map_err(|e| format!("{out}: {e}"));
-    match method {
-        "tif" => write(tir_persist::write_snapshot(
-            path,
-            epoch,
-            dict,
-            catalog,
-            &Tif::build(&corpus.collection),
-        ))?,
-        "tif-hint-bs" => write(tir_persist::write_snapshot(
-            path,
-            epoch,
-            dict,
-            catalog,
-            &TifHint::build(&corpus.collection, TifHintConfig::binary_search()),
-        ))?,
-        "tif-hint-ms" => write(tir_persist::write_snapshot(
-            path,
-            epoch,
-            dict,
-            catalog,
-            &TifHint::build(&corpus.collection, TifHintConfig::merge_sort()),
-        ))?,
-        other => {
-            return Err(format!(
-                "method {other} has no snapshot format (supported: tif, tif-hint-bs, tif-hint-ms)"
-            ));
-        }
-    }
+    tir_persist::write_snapshot(
+        path,
+        epoch,
+        &corpus.dictionary,
+        corpus.collection.objects(),
+        &build(&corpus.collection),
+    )
+    .map_err(|e| format!("{out}: {e}"))?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "wrote {out} ({method}, {} objects, {} KiB)",
@@ -1277,25 +1171,14 @@ mod tests {
     }
 
     #[test]
-    fn build_index_knows_all_methods() {
-        let coll = Collection::running_example();
-        for m in [
-            "tif",
-            "slicing",
-            "sharding",
-            "tif-hint-bs",
-            "tif-hint-ms",
-            "hybrid",
-            "irhint-perf",
-            "irhint-size",
-            "ctif",
-        ] {
-            let idx = build_index(m, &coll).unwrap();
-            let mut hits = idx.query(&TimeTravelQuery::new(5, 9, vec![0, 2]));
-            hits.sort_unstable();
-            assert_eq!(hits, vec![1, 3, 6], "{m}");
-        }
-        assert!(build_index("nope", &coll).is_err());
+    fn method_flag_parses_registry_names() {
+        let args: Vec<String> = vec!["--method".into(), Method::Ctif.name().into()];
+        let opts = Opts::parse(&args).unwrap();
+        assert_eq!(method_opt(&opts, Method::Tif), Ok(Method::Ctif));
+        let none = Opts::parse(&[]).unwrap();
+        assert_eq!(method_opt(&none, Method::Tif), Ok(Method::Tif));
+        let bad = Opts::parse(&["--method".into(), "nope".into()]).unwrap();
+        assert!(method_opt(&bad, Method::Tif).is_err());
     }
 
     fn abc_dictionary() -> tir_invidx::Dictionary {

@@ -75,6 +75,43 @@ impl CompressedTif {
                 .map(|c| c.size_bytes() + 16)
                 .sum::<usize>()
     }
+
+    /// Planner frequency of an element (number of live objects).
+    pub fn freq(&self, e: u32) -> u32 {
+        self.freqs.get(e)
+    }
+
+    /// Visits every compressed base list as `(element, block-coded ids,
+    /// temporal triples)` (introspection for validators).
+    pub fn for_each_base(
+        &self,
+        mut f: impl FnMut(u32, &BlockPostings, Option<&CompressedTemporalPostings>),
+    ) {
+        for (&e, ids) in &self.base_ids {
+            f(e, ids, self.base_temporal.get(&e));
+        }
+    }
+
+    /// Visits every overlay list (introspection for validators).
+    pub fn for_each_overlay(&self, mut f: impl FnMut(u32, &TemporalList)) {
+        for (&e, list) in &self.overlay {
+            f(e, list);
+        }
+    }
+
+    /// Whether a base object has been deleted.
+    pub fn is_base_dead(&self, id: ObjectId) -> bool {
+        self.dead.contains(&id)
+    }
+
+    /// Deliberately desyncs one base list's skip bound — used by
+    /// `tir-check`'s property tests to prove the validator notices.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt(&mut self) {
+        if let Some(ids) = self.base_ids.values_mut().next() {
+            ids.testing_corrupt_skip_bound();
+        }
+    }
 }
 
 impl TemporalIrIndex for CompressedTif {

@@ -167,6 +167,37 @@ impl TifHintSlicing {
     pub fn m(&self) -> u32 {
         self.m
     }
+
+    /// Planner frequency of an element (number of live objects).
+    pub fn freq(&self, e: u32) -> u32 {
+        self.freqs.get(e)
+    }
+
+    /// Visits every per-element HINT (introspection for validators).
+    pub fn for_each_hint(&self, mut f: impl FnMut(u32, &Hint)) {
+        for (&e, h) in &self.hints {
+            f(e, h);
+        }
+    }
+
+    /// Visits every slice sub-list of the sliced copy as
+    /// `(element, slice, ids, starts)` (introspection for validators).
+    pub fn for_each_sublist(&self, mut f: impl FnMut(u32, u32, &[u32], &[Timestamp])) {
+        for (&e, sc) in &self.slices {
+            for (s, sub) in (sc.first..).zip(&sc.subs) {
+                f(e, s, &sub.ids, &sub.sts);
+            }
+        }
+    }
+
+    /// Deliberately desyncs one HINT's tombstone counter — used by
+    /// `tir-check`'s property tests to prove the validator notices.
+    #[cfg(feature = "testing")]
+    pub fn testing_corrupt(&mut self) {
+        if let Some(h) = self.hints.values_mut().next() {
+            h.testing_corrupt_dead_counter();
+        }
+    }
 }
 
 impl TemporalIrIndex for TifHintSlicing {

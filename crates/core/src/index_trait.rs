@@ -81,14 +81,3 @@ const _: () = {
     assert_send_sync::<SharedIndex>();
     assert_send_sync::<std::sync::Arc<dyn TemporalIrIndex + Send + Sync>>();
 };
-
-/// Inserts a batch of objects (the paper's insertion experiments use 1%,
-/// 5% and 10% batches).
-pub fn insert_batch<I: TemporalIrIndex + ?Sized>(index: &mut I, batch: &[Object]) {
-    index.insert_batch(batch);
-}
-
-/// Deletes a batch of objects; returns how many were found.
-pub fn delete_batch<I: TemporalIrIndex + ?Sized>(index: &mut I, batch: &[Object]) -> usize {
-    batch.iter().filter(|o| index.delete(o)).count()
-}

@@ -23,7 +23,9 @@
 //! overlay), and [`ranked`] adds relevance-ranked top-k retrieval.
 //!
 //! All indexes implement [`TemporalIrIndex`] and agree exactly with the
-//! [`BruteForce`] oracle.
+//! [`BruteForce`] oracle. [`Method`] is the registry of the nine served
+//! methods (CLI names, paper labels, constructors); [`with_method!`]
+//! dispatches on one with its concrete index type.
 //!
 //! ```
 //! use tir_core::prelude::*;
@@ -47,6 +49,7 @@ pub mod index_trait;
 pub mod irhint_perf;
 pub mod irhint_size;
 pub mod joins;
+pub mod method;
 pub mod oracle;
 pub mod postings;
 pub mod ranked;
@@ -59,10 +62,11 @@ pub mod types;
 pub use collection::{Collection, CollectionStats};
 pub use compressed_tif::CompressedTif;
 pub use hybrid::TifHintSlicing;
-pub use index_trait::{delete_batch, insert_batch, SharedIndex, TemporalIrIndex};
+pub use index_trait::{SharedIndex, TemporalIrIndex};
 pub use irhint_perf::IrHintPerf;
 pub use irhint_size::IrHintSize;
 pub use joins::{temporal_common_elements_join, temporal_join_with_elements, JoinPair};
+pub use method::Method;
 pub use oracle::BruteForce;
 pub use ranked::{RankedQuery, RankedTif, ScoredHit};
 pub use sharding::{ShardView, ShardingConfig, TifSharding, IMPACT_STRIDE};
@@ -77,9 +81,10 @@ pub mod prelude {
     pub use crate::collection::{Collection, CollectionStats};
     pub use crate::compressed_tif::CompressedTif;
     pub use crate::hybrid::TifHintSlicing;
-    pub use crate::index_trait::{delete_batch, insert_batch, SharedIndex, TemporalIrIndex};
+    pub use crate::index_trait::{SharedIndex, TemporalIrIndex};
     pub use crate::irhint_perf::IrHintPerf;
     pub use crate::irhint_size::IrHintSize;
+    pub use crate::method::Method;
     pub use crate::oracle::BruteForce;
     pub use crate::ranked::{RankedQuery, RankedTif, ScoredHit};
     pub use crate::sharding::TifSharding;

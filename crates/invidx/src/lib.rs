@@ -17,9 +17,10 @@
 //!   by density and run structure at build/compaction time;
 //! * [`planner`] — the cost-based conjunction planner and reusable
 //!   [`QueryScratch`] arena with per-query kernel counters;
-//! * [`compress`] — delta/varint compressed postings and stream-vbyte
-//!   [`BlockPostings`] with per-block skip bounds (the paper's
-//!   compression future-work direction).
+//! * [`compress`] — delta/varint compressed temporal postings and
+//!   stream-vbyte [`BlockPostings`] with per-block skip bounds, the base
+//!   store of `tir-core`'s cTIF (the paper's compression future-work
+//!   direction).
 
 // `deny`, not `forbid`, so the audited [`simd`] module can locally
 // allow intrinsics — the same carve-out `tir-persist` uses for its mmap
@@ -35,11 +36,10 @@ pub mod dict;
 pub mod kernels;
 pub mod plain;
 pub mod planner;
-pub mod sigfile;
 pub mod simd;
 
 pub use compact::{CompactInverted, CompactTemporalInverted, TemporalPostings};
-pub use compress::{BlockPostings, CompressedPostings, CompressedTemporalPostings};
+pub use compress::{BlockPostings, CompressedTemporalPostings};
 pub use container::{ContainerConfig, DenseBits, HybridPostings, PostingContainer, RunSet};
 pub use dict::Dictionary;
 pub use kernels::{
@@ -49,5 +49,4 @@ pub use kernels::{
 };
 pub use plain::InvertedIndex;
 pub use planner::{global_stats, Kernel, PlanStats, Postings, QueryScratch};
-pub use sigfile::{Signature, SignatureFile};
 pub use simd::SimdLevel;

@@ -37,7 +37,7 @@ use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use tir_core::{BruteForce, Object, Tif, TifHint, TifHintConfig, TimeTravelQuery};
+use tir_core::{BruteForce, Method, Object, Tif, TifHint, TifHintConfig, TimeTravelQuery};
 use tir_invidx::{live, raw, CompactTemporalInverted, Dictionary, Kernel, QueryScratch};
 
 use crate::cols::{put_u32, put_u64, U32Col, U64Col};
@@ -133,9 +133,9 @@ impl IndexKind {
     /// The CLI method name of this kind.
     pub fn method_name(&self) -> &'static str {
         match self {
-            IndexKind::Tif => "tif",
-            IndexKind::TifHintBs => "tif-hint-bs",
-            IndexKind::TifHintMs => "tif-hint-ms",
+            IndexKind::Tif => Method::Tif.name(),
+            IndexKind::TifHintBs => Method::TifHintBs.name(),
+            IndexKind::TifHintMs => Method::TifHintMs.name(),
             IndexKind::CompactTemporal => "compact-temporal",
             IndexKind::BruteForce => "brute-force",
         }

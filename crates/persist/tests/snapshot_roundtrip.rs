@@ -66,11 +66,12 @@ fn query_grid(coll: &Collection) -> Vec<TimeTravelQuery> {
 }
 
 /// Writes, restores (both modes), and oracle-checks one index type.
-fn roundtrip<I, F>(name: &str, build: F, kind: IndexKind)
+fn roundtrip<I, F>(build: F, kind: IndexKind)
 where
     I: Persist + TemporalIrIndex,
     F: Fn(&Collection) -> I,
 {
+    let name = kind.method_name();
     let coll = corpus();
     let index = build(&coll);
     let dict = dict_for(&coll);
@@ -105,13 +106,12 @@ where
 
 #[test]
 fn tif_roundtrips() {
-    roundtrip("tif", Tif::build, IndexKind::Tif);
+    roundtrip(Tif::build, IndexKind::Tif);
 }
 
 #[test]
 fn tif_hint_bs_roundtrips() {
     roundtrip(
-        "tif-hint-bs",
         |c| TifHint::build(c, TifHintConfig::binary_search()),
         IndexKind::TifHintBs,
     );
@@ -120,7 +120,6 @@ fn tif_hint_bs_roundtrips() {
 #[test]
 fn tif_hint_ms_roundtrips() {
     roundtrip(
-        "tif-hint-ms",
         |c| TifHint::build(c, TifHintConfig::merge_sort()),
         IndexKind::TifHintMs,
     );
@@ -128,11 +127,7 @@ fn tif_hint_ms_roundtrips() {
 
 #[test]
 fn brute_force_roundtrips() {
-    roundtrip(
-        "brute-force",
-        |c| BruteForce::build(c.objects()),
-        IndexKind::BruteForce,
-    );
+    roundtrip(|c| BruteForce::build(c.objects()), IndexKind::BruteForce);
 }
 
 #[test]

@@ -21,11 +21,11 @@
 //! normally even if the clock passed the deadline — the full answer is
 //! correct and already paid for.
 //!
-//! Panics: each worker thread runs under a respawn-in-place supervisor.
-//! A query that panics kills the in-flight job (its client sees a closed
-//! reply channel), bumps [`PoolStats::worker_panics`], and re-enters the
-//! worker loop with a fresh scratch on the same thread and queue — one
-//! poisoned query can never silently shrink the pool.
+//! Panics: each job runs under `catch_unwind`. A query that panics bumps
+//! [`PoolStats::worker_panics`], then drops its reply sender unanswered
+//! (its client sees a closed reply channel), and the worker rebuilds its
+//! scratch and carries on with the next job on the same thread and queue
+//! — one poisoned query can never silently shrink the pool.
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,7 +97,7 @@ pub struct PoolStats {
     /// Queries answered `TIMEOUT` (deadline expired in queue or
     /// mid-plan).
     pub timeouts: AtomicU64,
-    /// Worker panics caught by the respawn supervisor.
+    /// Queries whose execution panicked (caught per job).
     pub worker_panics: AtomicU64,
 }
 
@@ -124,23 +124,7 @@ impl<I: TemporalIrIndex + Clone + Send + Sync + 'static> QueryPool<I> {
             let max_batch = config.max_batch.max(1);
             let handle = std::thread::Builder::new()
                 .name(format!("tir-query-{w}"))
-                .spawn(move || {
-                    // Respawn-in-place supervisor: a panicking query
-                    // must not shrink the pool. The queue and shard
-                    // routing survive; only the scratch is rebuilt.
-                    loop {
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            worker_loop(&rx, &store, &stats, max_batch)
-                        }));
-                        match run {
-                            Ok(()) => break, // queue closed: clean exit
-                            Err(_) => {
-                                // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
-                                stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                })
+                .spawn(move || worker_loop(&rx, &store, &stats, max_batch))
                 .expect("spawning a query worker thread");
             txs.push(tx);
             handles.push(handle);
@@ -269,9 +253,22 @@ where
                     continue;
                 }
             }
-            scratch.set_deadline(job.deadline);
-            let mut ids: Vec<ObjectId> = Vec::new();
-            snap.index.query_into(&job.query, &mut scratch, &mut ids);
+            let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scratch.set_deadline(job.deadline);
+                let mut ids: Vec<ObjectId> = Vec::new();
+                snap.index.query_into(&job.query, &mut scratch, &mut ids);
+                ids
+            }));
+            let Ok(ids) = answered else {
+                // Count the panic while the reply sender is still alive,
+                // so a client woken by the closed channel sees the count.
+                // analyze:allow(atomic-ordering): monotonic stat counter; the reply drop below publishes it
+                stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                // The plan was abandoned mid-flight: start from a clean arena.
+                scratch = QueryScratch::default();
+                drop(job);
+                continue;
+            };
             let outcome = if scratch.timed_out() {
                 // analyze:allow(atomic-ordering): monotonic stat counter, read only for reporting
                 stats.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -441,10 +438,10 @@ mod tests {
             Rejected::Closed
         );
         assert_eq!(pool.stats().worker_panics.load(Ordering::Relaxed), 1);
-        // The respawned worker still answers on the same queue.
+        // The same worker still answers on the same queue.
         let reply = pool
             .execute(TimeTravelQuery::new(5, 9, vec![0, 2]))
-            .expect("respawned worker answers");
+            .expect("the worker survives the panic");
         let mut ids = reply.ids;
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3, 6]);

@@ -36,7 +36,7 @@ fn loadgen_against_live_server_is_error_free() {
         coll.objects().to_vec(),
         dict,
         ServerConfig {
-            method: "irhint-perf".into(),
+            method: Method::IrHintPerf.name().into(),
             ..Default::default()
         },
         Some(Box::new(|i: &IrHintPerf| i.validate().len())),
@@ -53,7 +53,7 @@ fn loadgen_against_live_server_is_error_free() {
     assert_eq!(report.missing, 0, "unexpected MISSING: {report:?}");
     assert_eq!(report.requests, 2000);
     assert!(report.ok > 0);
-    assert_eq!(report.method, "irhint-perf");
+    assert_eq!(report.method, Method::IrHintPerf.name());
     assert!(report.size_bytes > 0);
     assert!(report.p50_us <= report.p95_us && report.p95_us <= report.p99_us);
 

@@ -34,7 +34,6 @@ use std::process::Command;
 
 use tir_check::Validate;
 use tir_core::prelude::*;
-use tir_core::TifHintConfig;
 use tir_hint::{Grid1D, Hint, HintConfig, IntervalRecord, IntervalTree};
 
 /// Library crates the attribute and source rules apply to. Binaries
@@ -488,8 +487,9 @@ fn clippy() -> Result<(), String> {
     )
 }
 
-/// Builds every index over a generated corpus and the paper's running
-/// example, then runs the deep structural validators of `tir-check`.
+/// Builds every served method and the HINT substrates over a generated
+/// corpus and the paper's running example, then runs the deep structural
+/// validators of `tir-check`.
 fn fsck() -> Result<(), String> {
     let mut violations = Vec::new();
     let mut checked = 0usize;
@@ -505,15 +505,9 @@ fn fsck() -> Result<(), String> {
         ("example", Collection::running_example()),
         ("synthetic", synthetic),
     ] {
-        check(tag, Tif::build(&coll).validate());
-        check(tag, TifSlicing::build(&coll).validate());
-        check(tag, TifSharding::build(&coll).validate());
-        check(
-            tag,
-            TifHint::build(&coll, TifHintConfig::binary_search()).validate(),
-        );
-        check(tag, IrHintPerf::build(&coll).validate());
-        check(tag, IrHintSize::build(&coll).validate());
+        for method in Method::ALL {
+            check(tag, tir_check::validate_method(method, &coll));
+        }
 
         let records: Vec<IntervalRecord> = coll
             .objects()

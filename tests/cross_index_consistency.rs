@@ -8,17 +8,8 @@ use temporal_ir::datagen::{
     SyntheticConfig, WorkloadSpec,
 };
 
-fn all_indexes(coll: &Collection) -> Vec<Box<dyn TemporalIrIndex>> {
-    vec![
-        Box::new(Tif::build(coll)),
-        Box::new(TifSlicing::build(coll)),
-        Box::new(TifSharding::build(coll)),
-        Box::new(TifHint::build(coll, TifHintConfig::binary_search())),
-        Box::new(TifHint::build(coll, TifHintConfig::merge_sort())),
-        Box::new(TifHintSlicing::build(coll)),
-        Box::new(IrHintPerf::build(coll)),
-        Box::new(IrHintSize::build(coll)),
-    ]
+fn all_indexes(coll: &Collection) -> Vec<SharedIndex> {
+    Method::ALL.into_iter().map(|m| m.build(coll)).collect()
 }
 
 fn assert_all_agree(coll: &Collection, queries: &[TimeTravelQuery], ctx: &str) {
