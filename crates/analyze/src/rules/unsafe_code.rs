@@ -1,7 +1,6 @@
 //! `unsafe-code`: library crates are `#![forbid(unsafe_code)]` with a
-//! short audited exception list — the mmap wrapper in `tir-persist` and
-//! the SIMD intrinsics module in `tir-invidx`. This rule makes those
-//! exceptions checkable: any `unsafe` token outside the configured
+//! short audited exception list — the SIMD intrinsics module in
+//! `tir-invidx`. This rule makes that exception checkable: any `unsafe` token outside the configured
 //! audited files is a **non-suppressible** diagnostic (an inline allow
 //! cannot widen the audit surface), and even inside an audited file
 //! every site needs a per-site
@@ -14,8 +13,8 @@ use crate::source::SourceFile;
 pub const NAME: &str = "unsafe-code";
 
 /// Runs the rule over one file. `audited_paths` are path suffixes of
-/// the files allowed to contain justified `unsafe` (the mmap wrapper
-/// and the SIMD intrinsics module).
+/// the files allowed to contain justified `unsafe` (the SIMD
+/// intrinsics module).
 pub fn check(file: &SourceFile, audited_paths: &[String]) -> Vec<Diagnostic> {
     let audited = audited_paths
         .iter()
@@ -54,7 +53,7 @@ mod tests {
     use super::*;
 
     fn audited() -> Vec<String> {
-        vec!["persist/src/mmap.rs".to_string()]
+        vec!["invidx/src/simd.rs".to_string()]
     }
 
     #[test]
@@ -71,7 +70,7 @@ mod tests {
     #[test]
     fn unsafe_in_audited_file_is_suppressible() {
         let f = SourceFile::parse(
-            "crates/persist/src/mmap.rs",
+            "crates/invidx/src/simd.rs",
             "fn f() { unsafe { work() } }\n",
         );
         let d = check(&f, &audited());

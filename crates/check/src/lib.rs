@@ -23,8 +23,8 @@
 //! * **cross-structure agreement** — decoupled dual structures (the
 //!   size-variant irHINT) must describe the same object sets;
 //! * **on-disk snapshots** — [`validate_snapshot`] fscks a `tir-persist`
-//!   snapshot file: section CRCs, monotone directories, catalog/postings
-//!   cross-agreement, and META counters.
+//!   snapshot file: section CRCs, the dictionary, ascending catalog ids
+//!   and intervals, and META counters.
 //!
 //! Validation never panics on corrupted input: every walk is
 //! bounds-checked, so a validator can safely run over a structure that a
@@ -50,7 +50,7 @@ mod snapshot_checks;
 
 pub use core_checks::validate_method;
 pub use oracle_checks::{diff_against_oracle, oracle_query_grid};
-pub use snapshot_checks::{validate_snapshot, validate_snapshot_file};
+pub use snapshot_checks::validate_snapshot;
 
 use std::fmt;
 

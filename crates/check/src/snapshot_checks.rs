@@ -2,18 +2,18 @@
 //! beyond the CRC/bounds checks `SnapshotFile::open` already enforces.
 //!
 //! Open-time validation proves the bytes are the bytes that were
-//! written; this module proves the *content* is a well-formed index
-//! image: monotone offset directories, sorted postings, catalog/postings
-//! cross-agreement, and META counters that match the columns. Every
-//! finding is a path-addressed [`Violation`]
-//! (`snapshot/postings/elem[3]: ids not strictly ascending`), the same
+//! written; this module proves the *content* is a well-formed catalog
+//! image: an intact dictionary, strictly ascending catalog ids, ordered
+//! intervals inside the META domain, descriptions inside the
+//! dictionary, and META counters that match the columns. Every finding
+//! is a path-addressed [`Violation`]
+//! (`snapshot/catalog/ids[3]: ids not strictly ascending`), the same
 //! currency the in-memory validators use — `tir check --file` prints
 //! them verbatim.
 
 use std::path::Path;
 
-use tir_persist::snapshot::section;
-use tir_persist::{LoadMode, SnapshotError, SnapshotFile};
+use tir_persist::{SnapshotError, SnapshotFile};
 
 use crate::{fail, Violation};
 
@@ -21,16 +21,15 @@ use crate::{fail, Violation};
 /// (bad magic, CRC mismatch, truncation, …) become the single violation
 /// the open reported; a readable file gets the full content walk.
 pub fn validate_snapshot(path: &Path) -> Vec<Violation> {
-    match SnapshotFile::open(path, LoadMode::Heap) {
+    match SnapshotFile::open(path) {
         Ok(snap) => validate_snapshot_file(&snap),
         Err(SnapshotError::Corrupt { at, msg }) => vec![Violation::new(at, msg)],
         Err(SnapshotError::Io(e)) => vec![Violation::new("snapshot/file", e.to_string())],
     }
 }
 
-/// Deep-validates an already-open snapshot (the serve/recover load path
-/// calls this before trusting a file it did not just write).
-pub fn validate_snapshot_file(snap: &SnapshotFile) -> Vec<Violation> {
+/// Deep-validates an already-open snapshot.
+fn validate_snapshot_file(snap: &SnapshotFile) -> Vec<Violation> {
     let mut out = Vec::new();
     let meta = snap.meta();
 
@@ -71,7 +70,7 @@ pub fn validate_snapshot_file(snap: &SnapshotFile) -> Vec<Violation> {
     }
 
     // Catalog: sorted unique ids, ordered intervals inside the domain.
-    let catalog = match snap.catalog_objects() {
+    match snap.catalog_objects() {
         Ok(catalog) => {
             for (i, o) in catalog.iter().enumerate() {
                 if i > 0 && catalog[i - 1].id >= o.id {
@@ -112,178 +111,8 @@ pub fn validate_snapshot_file(snap: &SnapshotFile) -> Vec<Violation> {
                     }
                 }
             }
-            catalog
-        }
-        Err(e) => {
-            out.push(violation_of(e));
-            Vec::new()
-        }
-    };
-
-    // Postings: ascending element directory, exact offsets, per-element
-    // id order, and (elem, id) rows that the catalog corroborates.
-    match snap.postings() {
-        Ok(view) => {
-            let rows = view.ids.len();
-            if !view.offs.is_empty() && view.offs.get(view.offs.len() - 1) as usize != rows {
-                fail(
-                    &mut out,
-                    "snapshot/postings/offs",
-                    format!(
-                        "final offset {} does not cover the {rows} rows",
-                        view.offs.get(view.offs.len() - 1)
-                    ),
-                );
-            }
-            let by_id: std::collections::HashMap<u32, &tir_core::Object> =
-                catalog.iter().map(|o| (o.id, o)).collect();
-            let mut covered = 0u64;
-            for ei in 0..view.elems.len() {
-                let e = view.elems.get(ei);
-                if ei > 0 && view.elems.get(ei - 1) >= e {
-                    fail(
-                        &mut out,
-                        &format!("snapshot/postings/elems[{ei}]"),
-                        "element directory not strictly ascending".to_string(),
-                    );
-                }
-                let lo = view.offs.get(ei) as usize;
-                let hi = view.offs.get(ei + 1) as usize;
-                if lo > hi || hi > rows {
-                    fail(
-                        &mut out,
-                        &format!("snapshot/postings/offs[{ei}]"),
-                        format!("row range {lo}..{hi} invalid over {rows} rows"),
-                    );
-                    continue;
-                }
-                covered += (hi - lo) as u64;
-                for row in lo..hi {
-                    let id = view.ids.get(row);
-                    if row > lo && view.ids.get(row - 1) >= id {
-                        fail(
-                            &mut out,
-                            &format!("snapshot/postings/elem[{e}]"),
-                            format!("ids not strictly ascending at row {row}"),
-                        );
-                    }
-                    let (st, end) = (view.sts.get(row), view.ends.get(row));
-                    if st > end {
-                        fail(
-                            &mut out,
-                            &format!("snapshot/postings/elem[{e}]/row[{row}]"),
-                            format!("interval inverted: [{st}, {end}]"),
-                        );
-                    }
-                    match by_id.get(&id) {
-                        None => fail(
-                            &mut out,
-                            &format!("snapshot/postings/elem[{e}]/row[{row}]"),
-                            format!("posting references id {id} absent from the catalog"),
-                        ),
-                        Some(o) => {
-                            if o.interval.st != st || o.interval.end != end {
-                                fail(
-                                    &mut out,
-                                    &format!("snapshot/postings/elem[{e}]/row[{row}]"),
-                                    format!(
-                                        "posting interval [{st}, {end}] disagrees with catalog [{}, {}] for id {id}",
-                                        o.interval.st, o.interval.end
-                                    ),
-                                );
-                            }
-                            if !o.desc.contains(&e) {
-                                fail(
-                                    &mut out,
-                                    &format!("snapshot/postings/elem[{e}]/row[{row}]"),
-                                    format!("catalog object {id} does not carry element {e}"),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            if covered != meta.postings {
-                fail(
-                    &mut out,
-                    "snapshot/postings",
-                    format!(
-                        "element directory covers {covered} rows, META says {}",
-                        meta.postings
-                    ),
-                );
-            }
-            // Conservation: a compacted snapshot has exactly one posting
-            // per (object, element) pair in the catalog.
-            let expected: u64 = catalog.iter().map(|o| o.desc.len() as u64).sum();
-            if covered == meta.postings && expected != meta.postings {
-                fail(
-                    &mut out,
-                    "snapshot/postings",
-                    format!(
-                        "catalog descriptions imply {expected} postings, columns hold {}",
-                        meta.postings
-                    ),
-                );
-            }
         }
         Err(e) => out.push(violation_of(e)),
-    }
-
-    // HINT partition directory, when present: parallel columns plus a
-    // strictly ascending element order.
-    if let Some(bytes) = snap.section_bytes(section::HINT_ELEMS) {
-        let n = bytes.len() / 4;
-        let elems = snap.u32_col(section::HINT_ELEMS);
-        let offs = snap.u32_col(section::HINT_DIV_OFFS);
-        match (elems, offs) {
-            (Ok(elems), Ok(offs)) => {
-                if offs.len() != n + 1 {
-                    fail(
-                        &mut out,
-                        "snapshot/hint/offs",
-                        format!("{n} elements need {} offsets, found {}", n + 1, offs.len()),
-                    );
-                }
-                for i in 1..elems.len() {
-                    if elems.get(i - 1) >= elems.get(i) {
-                        fail(
-                            &mut out,
-                            &format!("snapshot/hint/elems[{i}]"),
-                            "element directory not strictly ascending".to_string(),
-                        );
-                    }
-                }
-                let total = if offs.is_empty() {
-                    0
-                } else {
-                    offs.get(offs.len() - 1) as usize
-                };
-                for (name, id) in [
-                    ("levels", section::HINT_DIV_LEVELS),
-                    ("keys", section::HINT_DIV_KEYS),
-                    ("lens", section::HINT_DIV_LENS),
-                ] {
-                    match snap.u32_col(id) {
-                        Ok(col) if col.len() != total => fail(
-                            &mut out,
-                            &format!("snapshot/hint/{name}"),
-                            format!("{} entries for {total} divisions", col.len()),
-                        ),
-                        Ok(_) => {}
-                        Err(e) => out.push(violation_of(e)),
-                    }
-                }
-            }
-            (elems, offs) => {
-                if let Err(e) = elems {
-                    out.push(violation_of(e));
-                }
-                if let Err(e) = offs {
-                    out.push(violation_of(e));
-                }
-            }
-        }
     }
 
     out
@@ -301,7 +130,7 @@ mod tests {
     use super::*;
     use std::path::Path as StdPath;
     use std::path::PathBuf;
-    use tir_core::{Collection, Tif};
+    use tir_core::{Collection, Method};
     use tir_invidx::Dictionary;
     use tir_persist::write_snapshot;
 
@@ -317,8 +146,7 @@ mod tests {
         for t in ["a", "b", "c"] {
             dict.intern(t);
         }
-        let index = Tif::build(&coll);
-        write_snapshot(path, 3, &dict, coll.objects(), &index).expect("write");
+        write_snapshot(path, Method::Tif, 3, &dict, coll.objects()).expect("write");
     }
 
     #[test]

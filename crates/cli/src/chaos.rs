@@ -2,12 +2,14 @@
 //! in-process durable server, verified against a model + BruteForce
 //! oracle.
 //!
-//! Each schedule boots a small durable `tif` server in this process,
-//! installs a [`tir_fault::SeededPlan`] (one seeded I/O fault on the
-//! durable write path plus recurring worker stalls, applier delays, and
-//! connection drops), and drives it over real TCP loopback with rounds
-//! of writes, `FLUSH` barriers, and verified queries. The driver keeps a
-//! client-side model of what the server acknowledged:
+//! Each schedule boots a small durable server in this process — seed
+//! `k` serves `Method::ALL[k % 9]`, so consecutive seeds cycle through
+//! every method — installs a [`tir_fault::SeededPlan`] (one seeded I/O
+//! fault on the durable write path plus recurring worker stalls,
+//! applier delays, and connection drops), and drives it over real TCP
+//! loopback with rounds of writes, `FLUSH` barriers, and verified
+//! queries. The driver keeps a client-side model of what the server
+//! acknowledged:
 //!
 //! * **confirmed** — ops covered by a `FLUSH` → `EPOCH` ack: durable,
 //!   must be visible;
@@ -40,7 +42,7 @@ use tir_core::prelude::*;
 use tir_datagen::SyntheticConfig;
 use tir_fault::{FaultAction, FaultPlan, FaultSite, SeededPlan};
 use tir_invidx::Dictionary;
-use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
+use tir_persist::{Durability, DurabilityOptions, Persist, Recovered, TermLog};
 use tir_serve::protocol::{parse_response, HealthStatus, Response};
 use tir_serve::{spawn_server_durable, PoolConfig, ServeDict, ServerConfig};
 
@@ -238,12 +240,17 @@ pub fn cmd_chaos(opts: &Opts) -> Result<(), String> {
     }
     let t0 = Instant::now();
     for seed in base_seed..base_seed + schedules {
-        let tally = run_schedule(seed, rounds, scale).map_err(|e| {
+        let method = Method::ALL[(seed % Method::ALL.len() as u64) as usize];
+        let tally = tir_core::with_method!(method, |build| run_schedule(
+            seed, rounds, scale, method, build
+        ))
+        .map_err(|e| {
             tir_fault::clear();
-            format!("schedule seed {seed}: {e}")
+            format!("schedule seed {seed} ({method}): {e}")
         })?;
         println!(
-            "seed {seed:3}: {} requests | timeouts {} | drops {} | injected-errs {} | degraded {} | recovery verified",
+            "seed {seed:3} {:<11}: {} requests | timeouts {} | drops {} | injected-errs {} | degraded {} | recovery verified",
+            method.name(),
             tally.requests,
             tally.timeouts,
             tally.drops,
@@ -258,7 +265,17 @@ pub fn cmd_chaos(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
+fn run_schedule<I, F>(
+    seed: u64,
+    rounds: u64,
+    scale: f64,
+    method: Method,
+    build: F,
+) -> Result<Tally, String>
+where
+    I: TemporalIrIndex + Persist + Clone + Send + Sync + 'static,
+    F: FnOnce(&Collection) -> I,
+{
     let start = Instant::now();
     let overrun = |what: &str| format!("wall budget exceeded during {what} (possible hang)");
     let dir: PathBuf =
@@ -276,7 +293,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
         dictionary.intern(&format!("e{e}"));
     }
 
-    let index = Tif::build(&coll);
+    let index = build(&coll);
     let d_opts = DurabilityOptions {
         segment_bytes: 4 << 10, // small segments: faults hit rotations too
         snapshot_every: 3,
@@ -294,7 +311,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
                 workers: 2,
                 ..PoolConfig::default()
             },
-            method: Method::Tif.name().into(),
+            method: method.name().into(),
             ..ServerConfig::default()
         },
         None,
@@ -362,8 +379,7 @@ fn run_schedule(seed: u64, rounds: u64, scale: f64) -> Result<Tally, String> {
         return Err(overrun("teardown"));
     }
 
-    let r: Recovered<Tif> =
-        Durability::recover(&dir, d_opts).map_err(|e| format!("recover: {e}"))?;
+    let r: Recovered<I> = Durability::recover(&dir, d_opts).map_err(|e| format!("recover: {e}"))?;
 
     // Reconcile the recovered catalog with the model, id-wise.
     let recovered = r.durability.catalog_sorted();

@@ -27,8 +27,7 @@ use tir_core::prelude::*;
 use tir_core::{RankedQuery, RankedTif};
 use tir_datagen::{workload, SyntheticConfig, WorkloadSpec};
 use tir_persist::{
-    Durability, DurabilityOptions, IndexKind, LoadMode, Persist, Recovered, SnapshotFile, TermLog,
-    SNAPSHOT_NAME,
+    Durability, DurabilityOptions, Persist, Recovered, SnapshotFile, TermLog, SNAPSHOT_NAME,
 };
 use tir_serve::epoch::Validator;
 use tir_serve::{
@@ -134,7 +133,7 @@ fn usage() -> String {
      serve    [--input FILE | --scale S [--seed K]] [--method M] [--port P]\n\
               [--port-file PATH] [--workers N] [--queue-depth N] [--batch N]\n\
               [--data-dir DIR [--snapshot-every N]]   (durable: WAL + snapshots;\n\
-              recovers the directory on restart; methods tif, tif-hint-*)\n\
+              recovers the directory on restart with the method that wrote it)\n\
      loadgen  --addr HOST:PORT [--requests N] [--threads T] [--seed K]\n\
               [--write-fraction F] [--insert-fraction F] [--elems N]\n\
               [--durability N] [--deadline-ms MS] [--retries N] [--backoff-ms MS]\n\
@@ -703,15 +702,11 @@ fn cmd_check_file(path: &str) -> Result<(), String> {
     let p = Path::new(path);
     let violations = tir_check::validate_snapshot(p);
     if violations.is_empty() {
-        let snap = SnapshotFile::open(p, LoadMode::Heap).map_err(|e| format!("{path}: {e}"))?;
+        let snap = SnapshotFile::open(p).map_err(|e| format!("{path}: {e}"))?;
         let m = snap.meta();
         println!(
-            "{path}: ok ({} @ epoch {}, {} live, {} postings, {} terms)",
-            m.kind.method_name(),
-            m.epoch,
-            m.live,
-            m.postings,
-            m.dict_len
+            "{path}: ok ({} @ epoch {}, {} live, {} terms)",
+            m.method, m.epoch, m.live, m.dict_len
         );
         return Ok(());
     }
@@ -827,12 +822,11 @@ fn server_config(opts: &Opts, method: Method) -> Result<ServerConfig, String> {
     })
 }
 
-/// Index kind recorded in the data directory's current snapshot.
-fn snapshot_kind(dir: &Path) -> Result<IndexKind, String> {
+/// The method that wrote the data directory's current snapshot.
+fn snapshot_method(dir: &Path) -> Result<Method, String> {
     let path = dir.join(SNAPSHOT_NAME);
-    let snap = SnapshotFile::open(&path, LoadMode::Heap)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(snap.meta().kind)
+    let snap = SnapshotFile::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(snap.meta().method)
 }
 
 /// Fscks the data directory's snapshot; any violation refuses the load.
@@ -850,31 +844,6 @@ fn fsck_data_dir(dir: &Path) -> Result<(), String> {
         path.display(),
         violations.len()
     ))
-}
-
-/// What a durable method's concrete index type is wanted for.
-enum DurableAction<'a> {
-    /// `tir serve --data-dir DIR`.
-    Serve(&'a Path),
-    /// `tir snapshot --out FILE`.
-    Snapshot(&'a str),
-}
-
-/// The one dispatch over the methods with a snapshot format (tif and
-/// both tIF+HINT variants), shared by `serve --data-dir` and `snapshot`.
-fn run_durable(opts: &Opts, method: Method, action: DurableAction<'_>) -> Result<(), String> {
-    tir_core::with_method!(
-        method,
-        [Tif, TifHintBs, TifHintMs],
-        |build| match action {
-            DurableAction::Serve(dir) => serve_durable(opts, dir, method, build),
-            DurableAction::Snapshot(out) => write_snapshot(opts, out, method, build),
-        },
-        other => Err(format!(
-            "method {other} has no snapshot format, so it cannot run durably \
-             (supported: tif, tif-hint-bs, tif-hint-ms)"
-        )),
-    )
 }
 
 /// `tir serve --data-dir`: recovers (or initializes) the directory, then
@@ -942,23 +911,18 @@ where
 fn cmd_serve_durable(opts: &Opts, dir: &Path) -> Result<(), String> {
     // An existing directory dictates the method: the snapshot knows what
     // wrote it, and a conflicting --method is an operator error.
-    let existing = if Durability::exists(dir) {
-        Some(snapshot_kind(dir)?)
-    } else {
-        None
-    };
-    let method = match (existing, opts.get("method")) {
-        (Some(kind), Some(m)) if m != kind.method_name() => {
+    let mut method = method_opt(opts, Method::IrHintPerf)?;
+    if Durability::exists(dir) {
+        let existing = snapshot_method(dir)?;
+        if opts.get("method").is_some() && method != existing {
             return Err(format!(
-                "{} already holds a {} snapshot; --method {m} conflicts",
-                dir.display(),
-                kind.method_name()
+                "{} already holds a {existing} snapshot; --method {method} conflicts",
+                dir.display()
             ));
         }
-        (Some(kind), _) => kind.method_name().parse()?,
-        (None, _) => method_opt(opts, Method::Tif)?,
-    };
-    run_durable(opts, method, DurableAction::Serve(dir))
+        method = existing;
+    }
+    tir_core::with_method!(method, |build| serve_durable(opts, dir, method, build))
 }
 
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
@@ -985,32 +949,21 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     ))
 }
 
-/// `tir snapshot`: build an index over a corpus and write it as a
-/// standalone snapshot file, then fsck the result — a one-shot exporter
-/// for the `tir check --file` / mmap-load tooling.
+/// `tir snapshot`: write a corpus as a standalone snapshot file tagged
+/// with `--method`, then fsck the result — a one-shot exporter for the
+/// `tir check --file` tooling.
 fn cmd_snapshot(opts: &Opts) -> Result<(), String> {
     let out = opts.require("out")?;
-    run_durable(
-        opts,
-        method_opt(opts, Method::Tif)?,
-        DurableAction::Snapshot(out),
-    )
-}
-
-fn write_snapshot<I, F>(opts: &Opts, out: &str, method: Method, build: F) -> Result<(), String>
-where
-    I: Persist,
-    F: FnOnce(&Collection) -> I,
-{
+    let method = method_opt(opts, Method::IrHintPerf)?;
     let corpus = serve_corpus(opts)?;
     let epoch: u64 = opts.parse_or("epoch", 0)?;
     let path = Path::new(out);
     tir_persist::write_snapshot(
         path,
+        method,
         epoch,
         &corpus.dictionary,
         corpus.collection.objects(),
-        &build(&corpus.collection),
     )
     .map_err(|e| format!("{out}: {e}"))?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -1024,11 +977,13 @@ where
 
 /// Recovers a data directory outside the server (`tir recover`): report
 /// what last-snapshot + WAL replay reaches, optionally proving the
-/// result against the brute-force oracle rebuilt from the recovered
-/// catalog.
-fn recover_and_report<I>(opts: &Opts, dir: &Path) -> Result<(), String>
+/// result structurally sound and in agreement with the brute-force
+/// oracle rebuilt from the recovered catalog. `_build` only names the
+/// index type the snapshot's method recovers as.
+fn recover_and_report<I, F>(opts: &Opts, dir: &Path, _build: F) -> Result<(), String>
 where
-    I: Persist + TemporalIrIndex,
+    I: Persist + TemporalIrIndex + tir_check::Validate,
+    F: FnOnce(&Collection) -> I,
 {
     let r: Recovered<I> = Durability::recover(dir, DurabilityOptions::default())
         .map_err(|e| format!("recover {}: {e}", dir.display()))?;
@@ -1045,37 +1000,25 @@ where
     if opts.get("verify").is_none() {
         return Ok(());
     }
+    let violations = r.index.validate();
+    if let Some(v) = violations.first() {
+        return Err(format!(
+            "recovered index: {} structural violation(s), first: {v}",
+            violations.len()
+        ));
+    }
+    println!("validate    clean");
     // Oracle agreement: the recovered index must answer exactly like a
-    // brute-force scan of the recovered catalog, over a query grid
-    // spanning the catalog's domain and element range.
+    // brute-force scan of the recovered catalog.
     let catalog = r.durability.catalog_sorted();
-    let oracle = BruteForce::build(&catalog);
-    let (mut dmin, mut dmax, mut emax) = (u64::MAX, 0u64, 0u32);
-    for o in &catalog {
-        dmin = dmin.min(o.interval.st);
-        dmax = dmax.max(o.interval.end);
-        emax = emax.max(o.desc.iter().copied().max().unwrap_or(0));
+    let grid = tir_check::oracle_query_grid(&catalog, 16, r.epoch);
+    if let Some(v) = tir_check::diff_against_oracle(&r.index, &catalog, &grid).first() {
+        return Err(format!("oracle divergence: {v}"));
     }
-    if dmin > dmax {
-        (dmin, dmax) = (0, 0);
-    }
-    let span = (dmax - dmin).max(1);
-    let mut checked = 0usize;
-    for k in 0..16u64 {
-        let st = dmin + span * k / 17;
-        let end = (st + span / (1 + k % 5)).min(dmax);
-        let elems: Vec<u32> = (0..=(k as u32 % 3))
-            .map(|j| (k as u32 * 7 + j) % (emax + 1))
-            .collect();
-        let q = TimeTravelQuery::new(st, end, elems);
-        let mut got = r.index.query(&q);
-        got.sort_unstable();
-        if got != oracle.answer(&q) {
-            return Err(format!("oracle divergence on {q:?}"));
-        }
-        checked += 1;
-    }
-    println!("verified    {checked} queries against the brute-force oracle");
+    println!(
+        "verified    {} queries against the brute-force oracle",
+        grid.len()
+    );
     Ok(())
 }
 
@@ -1088,14 +1031,9 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
         fsck_data_dir(dir)?;
         println!("fsck        clean");
     }
-    match snapshot_kind(dir)? {
-        IndexKind::Tif => recover_and_report::<Tif>(opts, dir),
-        IndexKind::TifHintBs | IndexKind::TifHintMs => recover_and_report::<TifHint>(opts, dir),
-        IndexKind::BruteForce => recover_and_report::<BruteForce>(opts, dir),
-        IndexKind::CompactTemporal => {
-            Err("snapshot holds a bare compact postings structure; nothing to recover into".into())
-        }
-    }
+    tir_core::with_method!(snapshot_method(dir)?, |build| recover_and_report(
+        opts, dir, build
+    ))
 }
 
 fn cmd_loadgen(opts: &Opts) -> Result<(), String> {

@@ -3,11 +3,11 @@
 
 use crate::types::{ElemId, Interval, Object, ObjectId, Timestamp};
 
-/// An immutable collection of objects with ids `0..len`, plus the element
-/// frequency table of the global dictionary.
+/// An immutable collection of objects in strictly ascending id order,
+/// plus the element frequency table of the global dictionary.
 ///
-/// The `id == position` invariant keeps oracle checks and update workloads
-/// O(1); generators produce ids in that form.
+/// Generators produce dense ids `0..len`; a catalog recovered after
+/// deletes has gaps, which is why ids need only ascend.
 #[derive(Debug, Clone)]
 pub struct Collection {
     objects: Vec<Object>,
@@ -17,7 +17,7 @@ pub struct Collection {
 }
 
 impl Collection {
-    /// Wraps objects (ids must equal their position) into a collection,
+    /// Wraps objects (ids strictly ascending) into a collection,
     /// computing the domain span and element frequencies.
     pub fn new(objects: Vec<Object>) -> Self {
         Self::with_domain_hint(objects, Timestamp::MAX, 0)
@@ -35,7 +35,10 @@ impl Collection {
         let mut domain_max = max_hint;
         let mut max_elem = 0u32;
         for (i, o) in objects.iter().enumerate() {
-            assert_eq!(o.id as usize, i, "object ids must equal their position");
+            assert!(
+                i == 0 || objects[i - 1].id < o.id,
+                "object ids must be strictly ascending"
+            );
             domain_min = domain_min.min(o.interval.st);
             domain_max = domain_max.max(o.interval.end);
             if let Some(&e) = o.desc.last() {
@@ -65,9 +68,14 @@ impl Collection {
         &self.objects
     }
 
-    /// Object by id.
+    /// Object by id (binary search); panics if no object has `id`.
     pub fn get(&self, id: ObjectId) -> &Object {
-        &self.objects[id as usize]
+        let i = self.objects.partition_point(|o| o.id < id);
+        assert!(
+            i < self.objects.len() && self.objects[i].id == id,
+            "Collection::get: no object with id {id}"
+        );
+        &self.objects[i]
     }
 
     /// Number of objects.
@@ -252,8 +260,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn rejects_misnumbered_ids() {
-        let _ = Collection::new(vec![Object::new(5, 0, 1, vec![0])]);
+    fn sparse_ascending_ids_are_accepted() {
+        let coll = Collection::new(vec![
+            Object::new(3, 0, 4, vec![0]),
+            Object::new(9, 2, 6, vec![0, 1]),
+            Object::new(40, 5, 8, vec![1]),
+        ]);
+        assert_eq!(coll.len(), 3);
+        assert_eq!(coll.domain(), Interval::new(0, 8));
+        assert_eq!(coll.freq(0), 2);
+        assert_eq!(coll.get(9).interval, Interval::new(2, 6));
+        assert_eq!(coll.get(40).desc, vec![1]);
+        assert_eq!(coll.get(3).id, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no object with id 4")]
+    fn get_of_a_missing_id_panics() {
+        let coll = Collection::new(vec![Object::new(3, 0, 4, vec![0])]);
+        let _ = coll.get(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn rejects_duplicate_ids() {
+        let _ = Collection::new(vec![
+            Object::new(5, 0, 1, vec![0]),
+            Object::new(5, 2, 3, vec![0]),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn rejects_descending_ids() {
+        let _ = Collection::new(vec![
+            Object::new(5, 0, 1, vec![0]),
+            Object::new(2, 2, 3, vec![0]),
+        ]);
     }
 }

@@ -126,20 +126,6 @@ impl FromStr for Method {
 ///     .collect();
 /// assert!(sizes.iter().all(|&s| s > 0));
 /// ```
-///
-/// A subset form names the methods to dispatch and handles the rest in
-/// one fallback arm, for bounds only some index types meet:
-///
-/// ```
-/// use tir_core::{with_method, Collection, Method, TemporalIrIndex};
-///
-/// let coll = Collection::running_example();
-/// let bytes = |m: Method| {
-///     with_method!(m, [Tif, TifHintBs], |build| Some(build(&coll).size_bytes()), _ => None)
-/// };
-/// assert!(bytes(Method::Tif).is_some());
-/// assert!(bytes(Method::Ctif).is_none());
-/// ```
 #[macro_export]
 macro_rules! with_method {
     (@new Tif) => { $crate::Tif::build };
@@ -161,15 +147,6 @@ macro_rules! with_method {
                 let $build = $crate::with_method!(@new $m);
                 $body
             })+
-        }
-    };
-    ($method:expr, [$($m:ident),+ $(,)?], |$build:ident| $body:expr, $other:pat => $fallback:expr $(,)?) => {
-        match $method {
-            $($crate::Method::$m => {
-                let $build = $crate::with_method!(@new $m);
-                $body
-            })+
-            $other => $fallback,
         }
     };
     ($method:expr, |$build:ident| $body:expr $(,)?) => {

@@ -1,9 +1,8 @@
 //! Vectorized intersection and decode kernels with runtime dispatch.
 //!
-//! This is the **second of exactly two modules in the workspace allowed
-//! to contain `unsafe`** (the `unsafe-code` rule of `tir-analyze`
-//! machine-checks the allowlist; the other is the mmap wrapper in
-//! `tir-persist`). Everything here is `core::arch::x86_64` intrinsics
+//! This is the **only module in the workspace allowed to contain
+//! `unsafe`** (the `unsafe-code` rule of `tir-analyze` machine-checks
+//! the allowlist). Everything here is `core::arch::x86_64` intrinsics
 //! behind runtime CPU-feature detection, and every entry point has a
 //! scalar fallback in [`crate::kernels`] that remains the source of
 //! truth: the differential proptests in `tests/prop_kernels.rs` pit

@@ -1,9 +1,9 @@
-//! Safe zero-copy typed views over little-endian byte columns.
+//! Typed views over little-endian byte columns.
 //!
 //! A snapshot section holding a `u32`/`u64` SoA column is just bytes;
 //! these wrappers give it typed, bounds-checked access without copying
-//! and without `unsafe` — `from_le_bytes` over a 4/8-byte window
-//! compiles to a plain load on little-endian targets.
+//! — `from_le_bytes` over a 4/8-byte window compiles to a plain load on
+//! little-endian targets.
 
 /// A borrowed little-endian `u32` column.
 #[derive(Debug, Clone, Copy)]
@@ -42,24 +42,6 @@ impl<'a> U32Col<'a> {
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Binary search in an ascending column, with `slice::binary_search`
-    /// semantics.
-    pub fn binary_search(&self, x: u32) -> Result<usize, usize> {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let v = self.get(mid);
-            if v < x {
-                lo = mid + 1;
-            } else if v > x {
-                hi = mid;
-            } else {
-                return Ok(mid);
-            }
-        }
-        Err(lo)
-    }
-
     /// Copies the column onto the heap (cold paths only).
     pub fn to_vec(&self) -> Vec<u32> {
         self.iter().collect()
@@ -95,18 +77,6 @@ impl<'a> U64Col<'a> {
         let b = &self.0[i * 8..i * 8 + 8];
         u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
     }
-
-    /// Iterates the column in order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Copies the column onto the heap (cold paths only).
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.iter().collect()
-    }
 }
 
 /// Appends `v` to a byte buffer in little-endian order.
@@ -138,7 +108,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn u32_roundtrip_and_search() {
+    fn u32_roundtrip() {
         let vals = [3u32, 9, 12, 900, 7_000_000];
         let mut buf = Vec::new();
         for &v in &vals {
@@ -147,10 +117,7 @@ mod tests {
         let col = U32Col::new(&buf).expect("aligned");
         assert_eq!(col.len(), vals.len());
         assert_eq!(col.to_vec(), vals);
-        assert_eq!(col.binary_search(12), Ok(2));
-        assert_eq!(col.binary_search(13), Err(3));
-        assert_eq!(col.binary_search(0), Err(0));
-        assert_eq!(col.binary_search(8_000_000), Err(5));
+        assert_eq!(col.get(2), 12);
     }
 
     #[test]
@@ -161,8 +128,8 @@ mod tests {
             put_u64(&mut buf, v);
         }
         let col = U64Col::new(&buf).expect("aligned");
-        assert_eq!(col.to_vec(), vals);
-        assert_eq!(col.get(1), u64::MAX);
+        assert_eq!(col.len(), vals.len());
+        assert_eq!((0..col.len()).map(|i| col.get(i)).collect::<Vec<_>>(), vals);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!    `snapshot.tir.tmp`, `fsync`, rename over `snapshot.tir`, `fsync`
 //!    the directory, then prune covered WAL segments. A crash at any
 //!    point leaves either the old or the new snapshot intact.
-//! 3. [`Durability::recover`] — load the snapshot, replay `terms.log`,
-//!    replay WAL records above the snapshot epoch (truncating a torn
-//!    tail), and reopen the WAL for appending. The recovered epoch is
+//! 3. [`Durability::recover`] — load the snapshot's dictionary and
+//!    catalog, replay `terms.log`, replay WAL records above the snapshot
+//!    epoch into the catalog (truncating a torn tail), build the index
+//!    once from the final catalog through [`Persist::rebuild`], and
+//!    reopen the WAL for appending. The recovered epoch is
 //!    **at least** the last acknowledged one: a batch that reached the
 //!    fsync but died before the acknowledgment is replayed too (standard
 //!    WAL semantics — recovery never loses an ack, it may complete an
@@ -24,18 +26,17 @@
 //! Kill points ([`crate::kill`]) sit between every pair of steps; the
 //! property tests arm each in turn and assert oracle-exact recovery.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tir_core::{Object, TemporalIrIndex};
+use tir_core::{Collection, Object, TemporalIrIndex};
 use tir_invidx::Dictionary;
 
 use crate::kill::{self, KillPoint};
-use crate::mmap::LoadMode;
 use crate::snapshot::{write_snapshot, Persist, SnapshotFile};
 use crate::termlog::TermLog;
 use crate::wal::{Wal, WalOp, DEFAULT_SEGMENT_BYTES};
@@ -116,7 +117,7 @@ pub struct Recovered<I> {
 pub struct Durability {
     dir: PathBuf,
     wal: Wal,
-    catalog: HashMap<u32, Object>,
+    catalog: BTreeMap<u32, Object>,
     epoch: u64,
     last_snapshot_epoch: u64,
     opts: DurabilityOptions,
@@ -156,19 +157,14 @@ impl Durability {
     }
 
     /// Recovers `dir` to last-snapshot + WAL replay. See the module docs
-    /// for the exact semantics.
-    pub fn recover<I: Persist + TemporalIrIndex>(
-        dir: &Path,
-        opts: DurabilityOptions,
-    ) -> io::Result<Recovered<I>> {
-        // The snapshot restores onto the heap here: recovery rebuilds
-        // the native mutable index (zero-copy serving is the separate
-        // `MappedPostings` read path).
-        let snap = SnapshotFile::open(&dir.join(SNAPSHOT_NAME), LoadMode::Heap)?;
+    /// for the exact semantics. Fails if the snapshot was written by a
+    /// method whose index type is not `I`.
+    pub fn recover<I: Persist>(dir: &Path, opts: DurabilityOptions) -> io::Result<Recovered<I>> {
+        let snap = SnapshotFile::open(&dir.join(SNAPSHOT_NAME))?;
+        let method = snap.meta().method;
         let snapshot_epoch = snap.meta().epoch;
-        let mut index = I::restore(&snap)?;
         let mut dict = snap.dictionary()?;
-        let mut catalog: HashMap<u32, Object> = snap
+        let mut catalog: BTreeMap<u32, Object> = snap
             .catalog_objects()?
             .into_iter()
             .map(|o| (o.id, o))
@@ -183,8 +179,23 @@ impl Durability {
         let mut epoch = snapshot_epoch;
         let replayed = replay.batches.len() as u64;
         for (e, ops) in &replay.batches {
-            apply_ops(&mut index, &mut catalog, ops);
+            apply_to_catalog(&mut catalog, ops);
             epoch = *e;
+        }
+
+        // One build over the final catalog, whatever the WAL did to it.
+        let index = I::rebuild(
+            method,
+            &Collection::new(catalog.values().cloned().collect()),
+        );
+        if index.method() != method {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "snapshot was written by {method}, which does not recover as {}",
+                    index.method()
+                ),
+            ));
         }
 
         let wal = Wal::open(dir, epoch + 1, opts.segment_bytes)?;
@@ -231,9 +242,7 @@ impl Durability {
     /// The catalog mirror, sorted by id (what the snapshot writer and
     /// recovery verifiers see).
     pub fn catalog_sorted(&self) -> Vec<Object> {
-        let mut v: Vec<Object> = self.catalog.values().cloned().collect();
-        v.sort_unstable_by_key(|o| o.id);
-        v
+        self.catalog.values().cloned().collect()
     }
 
     /// Number of live objects in the catalog mirror.
@@ -257,7 +266,14 @@ impl Durability {
         kill::fire(KillPoint::BeforeWalSync)?;
         self.wal.sync()?;
         kill::fire(KillPoint::BeforeApply)?;
-        let deleted = apply_ops(index, &mut self.catalog, ops);
+        let mut deleted = 0u64;
+        for op in ops {
+            match op {
+                WalOp::Insert(o) => index.insert(o),
+                WalOp::Delete(o) => deleted += u64::from(index.delete(o)),
+            }
+        }
+        apply_to_catalog(&mut self.catalog, ops);
         self.epoch = next;
         let w = self.wal.stats();
         self.stats.wal_records.store(w.records, Ordering::SeqCst);
@@ -278,7 +294,7 @@ impl Durability {
         tir_fault::fire(tir_fault::FaultSite::SnapshotWrite)?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let catalog = self.catalog_sorted();
-        write_snapshot(&tmp, self.epoch, dict, &catalog, index)?;
+        write_snapshot(&tmp, index.method(), self.epoch, dict, &catalog)?;
         kill::fire(KillPoint::BeforeSnapshotRename)?;
         // Fault site: a torn publish — the temp snapshot is fully written
         // but the rename never happens, so recovery must keep using the
@@ -312,29 +328,18 @@ impl Durability {
     }
 }
 
-/// Applies ops to an index and the catalog mirror; returns how many
-/// deletes hit a live object.
-fn apply_ops<I: TemporalIrIndex>(
-    index: &mut I,
-    catalog: &mut HashMap<u32, Object>,
-    ops: &[WalOp],
-) -> u64 {
-    let mut deleted = 0u64;
+/// Applies ops to the catalog mirror.
+fn apply_to_catalog(catalog: &mut BTreeMap<u32, Object>, ops: &[WalOp]) {
     for op in ops {
         match op {
             WalOp::Insert(o) => {
-                index.insert(o);
                 catalog.insert(o.id, o.clone());
             }
             WalOp::Delete(o) => {
-                if index.delete(o) {
-                    deleted += 1;
-                }
                 catalog.remove(&o.id);
             }
         }
     }
-    deleted
 }
 
 #[cfg(test)]
@@ -354,6 +359,7 @@ mod tests {
 
     #[test]
     fn create_apply_recover_roundtrip() {
+        let _guard = crate::kill::test_guard();
         let dir = scratch_dir("roundtrip");
         let mut index = Tif::default();
         let dict = Dictionary::from_parts(vec!["a".into(), "b".into()], vec![2, 1]).expect("dict");
@@ -388,6 +394,7 @@ mod tests {
 
     #[test]
     fn snapshot_prunes_and_recovery_starts_from_it() {
+        let _guard = crate::kill::test_guard();
         let dir = scratch_dir("snapshot");
         let mut index = Tif::default();
         let dict = Dictionary::new();
@@ -423,6 +430,7 @@ mod tests {
     #[cfg(feature = "testing")]
     #[test]
     fn kill_before_sync_loses_the_batch_cleanly() {
+        let _guard = crate::kill::test_guard();
         let dir = scratch_dir("killsync");
         let mut index = Tif::default();
         let dict = Dictionary::new();

@@ -119,12 +119,23 @@ pub fn fire(_point: KillPoint) -> io::Result<()> {
     Ok(())
 }
 
+/// Serializes the unit tests that arm or pass kill points: the registry
+/// is process-global, so a point armed by one test would fire in
+/// another running beside it.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(all(test, feature = "testing"))]
 mod tests {
     use super::*;
 
     #[test]
     fn fires_once_after_countdown() {
+        let _guard = test_guard();
         disarm();
         arm(KillPoint::BeforeApply, 2);
         assert!(fire(KillPoint::BeforeWalSync).is_ok(), "other points pass");

@@ -6,15 +6,12 @@
 //! Two cooperating halves:
 //!
 //! * **Snapshots** — a versioned, checksummed, little-endian on-disk
-//!   format ([`snapshot`]) storing the dictionary, the object catalog,
-//!   the canonical SoA postings columns, and (for HINT-backed indexes) a
-//!   partition directory, each in its own 64-byte-aligned section with a
-//!   CRC32. A snapshot is written via the [`Persist`] trait and loaded
-//!   either *fully* (rebuilding the native in-memory index) or
-//!   *zero-copy* through the safe mmap wrapper in [`mmap`] — the
-//!   [`snapshot::MappedPostings`] view answers time-travel queries
-//!   straight out of the mapped columns without deserializing a single
-//!   posting onto the heap.
+//!   format ([`snapshot`]) storing the dictionary and the object catalog,
+//!   each column in its own 64-byte-aligned section with a CRC32, under
+//!   a header naming the [`tir_core::Method`] that wrote it. No index
+//!   structure is stored: the indexes are main-memory structures built
+//!   from the catalog, so recovery rebuilds whichever method the header
+//!   names through the [`Persist`] trait, and every method is durable.
 //! * **The write-ahead log** ([`wal`]) — appended and fsynced *before* a
 //!   batch is applied, one CRC32-guarded record per epoch, with
 //!   size-based segment rotation and truncate-on-torn-tail replay.
@@ -24,39 +21,30 @@
 //!   acknowledged epoch — and exactly the epochs whose records are
 //!   durable.
 //!
-//! The only `unsafe` in the crate (and the workspace) lives in the
-//! audited [`mmap`] wrapper module; everything else is `#![deny]`-ed and
-//! the `unsafe-code` rule of `tir-analyze` enforces the containment
-//! statically.
-//!
 //! Crash discipline is testable: with the `testing` feature, [`kill`]
 //! exposes deterministic kill points that abort the durable apply path
 //! at every step boundary, and the crash-recovery proptests replay
 //! `mixed_stream` ops demanding exact `BruteForce`-oracle agreement
 //! after recovery at every point.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cols;
 pub mod crc;
 pub mod engine;
 pub mod kill;
-pub mod mmap;
 pub mod snapshot;
 pub mod termlog;
 pub mod wal;
 
-pub use cols::{U32Col, U64Col};
 pub use crc::{crc32, Crc32};
 pub use engine::{
     ApplyOutcome, Durability, DurabilityOptions, PersistStats, Recovered, SNAPSHOT_NAME,
 };
 pub use kill::KillPoint;
-pub use mmap::{Bytes, LoadMode};
 pub use snapshot::{
-    write_snapshot, IndexKind, MappedPostings, Persist, SnapshotError, SnapshotFile, SnapshotMeta,
-    SnapshotWriter, FORMAT_VERSION,
+    write_snapshot, Persist, SnapshotError, SnapshotFile, SnapshotMeta, FORMAT_VERSION,
 };
 pub use termlog::TermLog;
 pub use wal::{WalOp, WalStats};

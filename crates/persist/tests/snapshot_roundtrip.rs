@@ -1,15 +1,20 @@
-//! Snapshot format roundtrips: every `Persist` index writes a snapshot,
-//! restores from it (heap and mmap), and answers an oracle-checked query
-//! grid identically before and after. Corruption anywhere in the file
-//! must be detected at open time.
+//! Snapshot format roundtrips: for every method, a snapshot of a sparse
+//! catalog reads back the exact dictionary and catalog, and the index
+//! rebuilt from it through [`Persist::rebuild`] answers an oracle-checked
+//! query grid. Corruption anywhere in the file, a version skew and an
+//! unknown method tag must be detected at open time.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tir_core::prelude::*;
+use tir_core::with_method;
 use tir_datagen::SyntheticConfig;
-use tir_invidx::{CompactTemporalInverted, Dictionary};
-use tir_persist::{write_snapshot, IndexKind, LoadMode, Persist, SnapshotError, SnapshotFile};
+use tir_invidx::Dictionary;
+use tir_persist::{
+    write_snapshot, Durability, DurabilityOptions, Persist, Recovered, SnapshotError, SnapshotFile,
+    FORMAT_VERSION,
+};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tir-snap-rt-{}", std::process::id()));
@@ -17,23 +22,27 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
+/// A synthetic corpus with every third object deleted, so catalog ids
+/// are sparse.
 fn corpus() -> Collection {
     let mut cfg = SyntheticConfig::default().scaled(0.002);
     cfg.desc_size = 4;
     cfg.seed = 77;
-    tir_datagen::generate(&cfg)
+    let dense = tir_datagen::generate(&cfg);
+    Collection::new(
+        dense
+            .objects()
+            .iter()
+            .filter(|o| o.id % 3 != 2)
+            .cloned()
+            .collect(),
+    )
 }
 
 fn dict_for(coll: &Collection) -> Dictionary {
     // A synthetic dictionary covering every element id in the corpus.
-    let max_elem = coll
-        .objects()
-        .iter()
-        .flat_map(|o| o.desc.iter().copied())
-        .max()
-        .unwrap_or(0);
     let mut d = Dictionary::new();
-    for e in 0..=max_elem {
+    for e in 0..coll.dict_size() as u32 {
         assert_eq!(d.intern(&format!("term-{e}")), e);
     }
     for o in coll.objects() {
@@ -65,133 +74,72 @@ fn query_grid(coll: &Collection) -> Vec<TimeTravelQuery> {
     qs
 }
 
-/// Writes, restores (both modes), and oracle-checks one index type.
-fn roundtrip<I, F>(build: F, kind: IndexKind)
+/// Rebuilds `method` from the snapshot's catalog and checks it against
+/// the oracle. `_build` only names the method's index type.
+fn rebuild_matches_oracle<I, F>(method: Method, snap: &SnapshotFile, coll: &Collection, _build: F)
 where
     I: Persist + TemporalIrIndex,
-    F: Fn(&Collection) -> I,
+    F: FnOnce(&Collection) -> I,
 {
-    let name = kind.method_name();
-    let coll = corpus();
-    let index = build(&coll);
-    let dict = dict_for(&coll);
+    let catalog = Collection::new(snap.catalog_objects().expect("catalog"));
+    let rebuilt = I::rebuild(method, &catalog);
+    assert_eq!(rebuilt.method(), method);
+    assert_eq!(rebuilt.name(), method.label());
     let oracle = BruteForce::build(coll.objects());
-    let path = scratch(&format!("{name}.tir"));
-    write_snapshot(&path, 42, &dict, coll.objects(), &index).expect("write snapshot");
+    for q in query_grid(coll) {
+        let mut got = rebuilt.query(&q);
+        got.sort_unstable();
+        assert_eq!(got, oracle.answer(&q), "{method} diverged on {q:?}");
+    }
+}
 
-    for mode in [LoadMode::Heap, LoadMode::Mmap] {
-        let snap = SnapshotFile::open(&path, mode).expect("open snapshot");
-        assert_eq!(snap.meta().kind, kind);
+#[test]
+fn every_method_roundtrips() {
+    let coll = corpus();
+    let dict = dict_for(&coll);
+    for method in Method::ALL {
+        let path = scratch(&format!("{method}.tir"));
+        write_snapshot(&path, method, 42, &dict, coll.objects()).expect("write snapshot");
+        let snap = SnapshotFile::open(&path).expect("open snapshot");
+        assert_eq!(snap.meta().method, method);
         assert_eq!(snap.meta().epoch, 42);
         assert_eq!(snap.meta().live, coll.len() as u64);
-        assert_eq!(snap.is_mapped(), mode == LoadMode::Mmap && cfg!(unix));
+        assert_eq!(
+            (snap.meta().domain_min, snap.meta().domain_max),
+            (coll.domain().st, coll.domain().end)
+        );
 
         // Dictionary and catalog columns roundtrip exactly.
         let rdict = snap.dictionary().expect("dictionary");
         assert_eq!(rdict.len(), dict.len());
         assert_eq!(rdict.lookup("term-1"), Some(1));
-        let rcat = snap.catalog_objects().expect("catalog");
-        assert_eq!(rcat.len(), coll.len());
+        assert_eq!(rdict.freq(1), dict.freq(1));
+        assert_eq!(snap.catalog_objects().expect("catalog"), coll.objects());
 
-        // The restored native index answers the grid like the oracle.
-        let restored = I::restore(&snap).expect("restore");
-        for q in query_grid(&coll) {
-            let mut got = restored.query(&q);
-            got.sort_unstable();
-            assert_eq!(got, oracle.answer(&q), "{name}/{mode:?} diverged on {q:?}");
-        }
+        with_method!(method, |build| rebuild_matches_oracle(
+            method, &snap, &coll, build
+        ));
+        let _ = fs::remove_file(&path);
     }
-    let _ = fs::remove_file(&path);
 }
 
 #[test]
-fn tif_roundtrips() {
-    roundtrip(Tif::build, IndexKind::Tif);
-}
-
-#[test]
-fn tif_hint_bs_roundtrips() {
-    roundtrip(
-        |c| TifHint::build(c, TifHintConfig::binary_search()),
-        IndexKind::TifHintBs,
-    );
-}
-
-#[test]
-fn tif_hint_ms_roundtrips() {
-    roundtrip(
-        |c| TifHint::build(c, TifHintConfig::merge_sort()),
-        IndexKind::TifHintMs,
-    );
-}
-
-#[test]
-fn brute_force_roundtrips() {
-    roundtrip(|c| BruteForce::build(c.objects()), IndexKind::BruteForce);
-}
-
-#[test]
-fn compact_roundtrips() {
+fn unsorted_catalogs_are_refused() {
     let coll = corpus();
-    let mut tuples: Vec<(u32, u32, u64, u64)> = coll
-        .objects()
-        .iter()
-        .flat_map(|o| {
-            o.desc
-                .iter()
-                .map(move |&e| (e, o.id, o.interval.st, o.interval.end))
-        })
-        .collect();
-    let index = CompactTemporalInverted::build(&mut tuples);
-    let dict = dict_for(&coll);
-    let path = scratch("compact.tir");
-    write_snapshot(&path, 7, &dict, coll.objects(), &index).expect("write");
-    let snap = SnapshotFile::open(&path, LoadMode::Mmap).expect("open");
-    assert_eq!(snap.meta().kind, IndexKind::CompactTemporal);
-    let restored = CompactTemporalInverted::restore(&snap).expect("restore");
-    assert_eq!(restored.elements(), index.elements());
-    assert_eq!(restored.all_ids(), index.all_ids());
-    assert_eq!(restored.all_sts(), index.all_sts());
-    let _ = fs::remove_file(&path);
-}
-
-#[test]
-fn snapshot_compacts_tombstones_away() {
-    // Deleted postings must not survive a snapshot: write → restore must
-    // agree with the post-delete oracle, and the canonical postings
-    // count shrinks.
-    let coll = corpus();
-    let mut index = Tif::build(&coll);
-    let mut oracle = BruteForce::build(coll.objects());
-    let mut live: Vec<Object> = coll.objects().to_vec();
-    for k in 0..coll.len() / 3 {
-        let o = live.remove((k * 7) % live.len());
-        assert!(index.delete(&o));
-        assert!(oracle.delete(&o));
-    }
-    let path = scratch("tombstones.tir");
-    write_snapshot(&path, 1, &dict_for(&coll), &live, &index).expect("write");
-    let snap = SnapshotFile::open(&path, LoadMode::Heap).expect("open");
-    assert_eq!(snap.meta().live, live.len() as u64);
-    let restored = Tif::restore(&snap).expect("restore");
-    assert!(
-        restored.num_postings() < index.num_postings(),
-        "snapshot kept tombstoned postings"
-    );
-    for q in query_grid(&coll) {
-        let mut got = restored.query(&q);
-        got.sort_unstable();
-        assert_eq!(got, oracle.answer(&q));
-    }
+    let mut objects = coll.objects().to_vec();
+    objects.swap(0, 1);
+    let path = scratch("unsorted.tir");
+    let err = write_snapshot(&path, Method::Tif, 1, &dict_for(&coll), &objects)
+        .expect_err("descending ids");
+    assert!(err.to_string().contains("ascending"), "{err}");
     let _ = fs::remove_file(&path);
 }
 
 #[test]
 fn every_corrupted_byte_region_is_detected() {
     let coll = corpus();
-    let index = Tif::build(&coll);
     let path = scratch("corrupt.tir");
-    write_snapshot(&path, 1, &dict_for(&coll), coll.objects(), &index).expect("write");
+    write_snapshot(&path, Method::Tif, 1, &dict_for(&coll), coll.objects()).expect("write");
     let clean = fs::read(&path).expect("read");
     // Flip one byte in every CRC-covered region: the header, each
     // section-table entry, and the head/middle/tail of every section
@@ -212,7 +160,7 @@ fn every_corrupted_byte_region_is_detected() {
         let mut bad = clean.clone();
         bad[pos] ^= 0x40;
         fs::write(&path, &bad).expect("write corrupted");
-        match SnapshotFile::open(&path, LoadMode::Heap) {
+        match SnapshotFile::open(&path) {
             Err(SnapshotError::Corrupt { .. }) => {}
             Err(other) => panic!("byte {pos}: wrong error kind {other}"),
             Ok(_) => panic!("byte {pos}: corruption not detected"),
@@ -221,40 +169,75 @@ fn every_corrupted_byte_region_is_detected() {
     // Truncation too.
     fs::write(&path, &clean[..clean.len() / 2]).expect("truncate");
     assert!(matches!(
-        SnapshotFile::open(&path, LoadMode::Heap),
+        SnapshotFile::open(&path),
         Err(SnapshotError::Corrupt { .. })
     ));
     let _ = fs::remove_file(&path);
 }
 
-#[test]
-fn unknown_version_and_kind_are_rejected() {
-    let coll = corpus();
-    let index = Tif::build(&coll);
-    let path = scratch("skew.tir");
-    write_snapshot(&path, 1, &dict_for(&coll), coll.objects(), &index).expect("write");
-    let clean = fs::read(&path).expect("read");
-
-    // Version bump: rejected even with a recomputed CRC? The CRC guards
-    // the header, so a bare flip is caught; a "future" file with a valid
-    // CRC must still be refused — patch version AND fix the CRC.
-    let mut future = clean.clone();
-    future[8] = 99;
+/// Writes `bytes` with the header word at `at` replaced by `value` and
+/// the header CRC recomputed, so only the open-time semantic checks can
+/// refuse the file.
+fn write_patched(path: &Path, clean: &[u8], at: usize, value: u32) {
+    let mut patched = clean.to_vec();
+    patched[at..at + 4].copy_from_slice(&value.to_le_bytes());
     let crc = {
         let mut c = tir_persist::Crc32::new();
-        c.update(&future[0..44]);
+        c.update(&patched[0..44]);
         c.update(&[0, 0, 0, 0]);
-        c.update(&future[48..832]);
+        c.update(&patched[48..832]);
         c.finish()
     };
-    future[44..48].copy_from_slice(&crc.to_le_bytes());
-    fs::write(&path, &future).expect("write future");
-    let err = SnapshotFile::open(&path, LoadMode::Heap).expect_err("future version");
-    assert!(err.to_string().contains("version"), "{err}");
+    patched[44..48].copy_from_slice(&crc.to_le_bytes());
+    fs::write(path, &patched).expect("write patched");
+}
 
-    // Wrong-kind restore: a Tif snapshot refuses to restore as TifHint.
-    fs::write(&path, &clean).expect("restore clean");
-    let snap = SnapshotFile::open(&path, LoadMode::Heap).expect("open");
-    assert!(TifHint::restore(&snap).is_err());
+#[test]
+fn version_skew_and_unknown_methods_are_rejected() {
+    let coll = corpus();
+    let path = scratch("skew.tir");
+    write_snapshot(&path, Method::Tif, 1, &dict_for(&coll), coll.objects()).expect("write");
+    let clean = fs::read(&path).expect("read");
+
+    // A "future" file and a version-1 file (typed index sections), each
+    // with a valid header CRC, are refused for their version.
+    for version in [99, 1] {
+        assert_ne!(version, FORMAT_VERSION);
+        write_patched(&path, &clean, 8, version);
+        let err = SnapshotFile::open(&path).expect_err("version skew");
+        assert!(
+            err.to_string()
+                .contains(&format!("format version {version}")),
+            "{err}"
+        );
+    }
+
+    // A method tag past the registry.
+    write_patched(&path, &clean, 12, Method::ALL.len() as u32 + 1);
+    let err = SnapshotFile::open(&path).expect_err("unknown method");
+    assert!(err.to_string().contains("unknown method tag"), "{err}");
     let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn a_snapshot_recovers_only_as_its_method() {
+    let dir = scratch("wrong-type");
+    let _ = fs::remove_dir_all(&dir);
+    let coll = corpus();
+    let index = Tif::build(&coll);
+    let d = Durability::create(
+        &dir,
+        &index,
+        &dict_for(&coll),
+        coll.objects(),
+        DurabilityOptions::default(),
+    )
+    .expect("create");
+    drop(d);
+    let err = Durability::recover::<TifHint>(&dir, DurabilityOptions::default())
+        .expect_err("a tif snapshot is not a tIF+HINT one");
+    assert!(err.to_string().contains("tif"), "{err}");
+    let r: Recovered<Tif> = Durability::recover(&dir, DurabilityOptions::default()).expect("tif");
+    assert_eq!(r.durability.live(), coll.len());
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -680,7 +680,7 @@ mod tests {
         for name in ["a", "b", "c"] {
             dict.intern(name);
         }
-        let index = BruteForce::build(coll.objects());
+        let index = tir_core::Tif::build(&coll);
         let durability = Durability::create(
             &dir,
             &index,
@@ -695,7 +695,7 @@ mod tests {
             ServeDict::durable(dict, log),
             durability,
             ServerConfig {
-                method: "brute-force".into(),
+                method: "tif".into(),
                 ..Default::default()
             },
             None,
@@ -730,7 +730,7 @@ mod tests {
             let entry = entry.expect("entry");
             std::fs::copy(entry.path(), copy.join(entry.file_name())).expect("copy");
         }
-        let r: Recovered<BruteForce> =
+        let r: Recovered<tir_core::Tif> =
             Durability::recover(&copy, DurabilityOptions::default()).expect("recover");
         assert_eq!(r.epoch, 1);
         assert_eq!(r.replayed, 0, "the forced snapshot covers the write");

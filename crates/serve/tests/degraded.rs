@@ -10,7 +10,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use tir_core::{BruteForce, Collection, Object, TemporalIrIndex, TimeTravelQuery};
+use tir_core::{Collection, Object, TemporalIrIndex, Tif, TimeTravelQuery};
 use tir_fault::{FaultAction, FaultPlan, FaultSite};
 use tir_invidx::Dictionary;
 use tir_persist::{Durability, DurabilityOptions, Recovered, TermLog};
@@ -45,7 +45,7 @@ fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
     for name in ["a", "b", "c"] {
         dict.intern(name);
     }
-    let index = BruteForce::build(coll.objects());
+    let index = Tif::build(&coll);
     let opts = DurabilityOptions {
         segment_bytes: 1 << 20,
         snapshot_every: 0,
@@ -125,7 +125,7 @@ fn durability_failure_latches_read_only_and_recovery_keeps_acked_state() {
     drop(store); // degraded shutdown must not write a snapshot
 
     // Recovery lands on the acked state exactly.
-    let r: Recovered<BruteForce> = Durability::recover(&dir, opts).expect("recover");
+    let r: Recovered<Tif> = Durability::recover(&dir, opts).expect("recover");
     assert_eq!(r.epoch, 1);
     let ids: Vec<u32> = r.durability.catalog_sorted().iter().map(|o| o.id).collect();
     assert!(ids.contains(&8));

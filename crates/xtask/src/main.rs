@@ -161,11 +161,11 @@ fn repo_root() -> PathBuf {
 }
 
 /// Every library crate root must opt into the workspace safety posture.
-/// `persist` and `invidx` are the audited exceptions: the mmap wrapper
-/// and the SIMD kernel module need `unsafe`, so those crates carry
-/// `deny(unsafe_code)` (overridden only inside the audited module) and
-/// the `unsafe-code` analyze rule enforces the containment per token.
-const UNSAFE_AUDITED_CRATES: &[&str] = &["persist", "invidx"];
+/// `invidx` is the audited exception: its SIMD kernel module needs
+/// `unsafe`, so the crate carries `deny(unsafe_code)` (overridden only
+/// inside the audited module) and the `unsafe-code` analyze rule
+/// enforces the containment per token.
+const UNSAFE_AUDITED_CRATES: &[&str] = &["invidx"];
 
 fn attrs() -> Result<(), String> {
     let root = repo_root();

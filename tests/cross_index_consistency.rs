@@ -59,6 +59,37 @@ fn agree_on_synthetic_default_shape() {
 }
 
 #[test]
+fn agree_on_sparse_ids() {
+    // A catalog recovered after deletes: ids ascend with gaps, and none
+    // equals its position.
+    let dense = generate(&SyntheticConfig::default().scaled(0.002));
+    let coll = Collection::new(
+        dense
+            .objects()
+            .iter()
+            .filter(|o| o.id % 3 != 1)
+            .map(|o| Object::new(o.id * 5 + 11, o.interval.st, o.interval.end, o.desc.clone()))
+            .collect(),
+    );
+    assert!(coll.objects().iter().all(|o| o.id % 5 == 1));
+    let mut queries = workload(&coll, &WorkloadSpec::default(), 30, 13);
+    for extent in [Extent::Stabbing, Extent::Fraction(0.05)] {
+        queries.extend(workload(
+            &coll,
+            &WorkloadSpec {
+                extent,
+                num_elems: 2,
+                source: ElemSource::SeedObject,
+            },
+            10,
+            17,
+        ));
+    }
+    assert!(queries.len() >= 40);
+    assert_all_agree(&coll, &queries, "sparse ids");
+}
+
+#[test]
 fn agree_on_eclog_shape() {
     let coll = eclog_like(0.01, 5);
     let queries = workload(&coll, &WorkloadSpec::default(), 30, 5);
